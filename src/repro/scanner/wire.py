@@ -21,6 +21,13 @@ path can produce (property-tested in ``tests/scanner/test_wire.py``).
 A typical discovery batch shrinks well over 3x versus per-instance
 pickling — measured by ``benchmarks/test_bench_parallel.py``.
 
+:func:`find_observation` answers a point lookup without decoding the
+batch: it walks the same checked layout as :func:`decode_observations`
+(one private framing pass, so both reject the same malformed blobs),
+finds the key in the raw packed address column and builds only the
+matching row.  The store's segment reader serves ``history(ip)`` with
+it.
+
 Blobs are a pure function of observation content and batch boundaries —
 both of which the staged batch pipeline reproduces exactly (executor
 ``batch_size`` chunking is independent of the probe-loop shape) — so
@@ -33,8 +40,9 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
+from repro.net.addresses import IPAddress
 from repro.scanner.records import ScanObservation
 from repro.snmp.engine_id import EngineId
 
@@ -53,6 +61,8 @@ _INT_CODES: tuple[tuple[str, int, int], ...] = (
 )
 #: Column code for the length-prefixed bigint fallback.
 _BIGINT = 0xFF
+#: Byte width of each fixed-width integer column code.
+_INT_WIDTHS = {ord(code): struct.calcsize("<" + code) for code, __, __ in _INT_CODES}
 
 _HEADER = struct.Struct("<BI")
 _U16 = struct.Struct("<H")
@@ -82,30 +92,6 @@ def _encode_int_column(values: "list[int]") -> bytes:
         parts.append(_U16.pack(width))
         parts.append(value.to_bytes(width, "big", signed=True))
     return b"".join(parts)
-
-
-def _decode_int_column(blob: bytes, offset: int, count: int) -> "tuple[list[int], int]":
-    if offset >= len(blob):
-        raise WireFormatError("truncated integer column")
-    code = blob[offset]
-    offset += 1
-    if code != _BIGINT:
-        fmt = struct.Struct(f"<{count}{chr(code)}")
-        end = offset + fmt.size
-        if end > len(blob):
-            raise WireFormatError("truncated integer column body")
-        return list(fmt.unpack(blob[offset:end])), end
-    values: "list[int]" = []
-    for __ in range(count):
-        if offset + 2 > len(blob):
-            raise WireFormatError("truncated bigint length")
-        (width,) = _U16.unpack_from(blob, offset)
-        offset += 2
-        if offset + width > len(blob):
-            raise WireFormatError("truncated bigint body")
-        values.append(int.from_bytes(blob[offset : offset + width], "big", signed=True))
-        offset += width
-    return values, offset
 
 
 def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
@@ -150,8 +136,96 @@ def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
     )
 
 
-def decode_observations(blob: bytes) -> "list[ScanObservation]":
-    """Unpack a columnar blob back into observation records."""
+class _Prefixed(NamedTuple):
+    """A run of u16-length-prefixed values: where it starts, where each ends."""
+
+    start: int
+    ends: "list[int]"
+
+    def item(self, blob: bytes, index: int) -> bytes:
+        begin = self.ends[index - 1] if index else self.start
+        return blob[begin + 2 : self.ends[index]]
+
+    def items(self, blob: bytes) -> "Iterator[bytes]":
+        begin = self.start
+        for end in self.ends:
+            yield blob[begin + 2 : end]
+            begin = end
+
+
+class _IntColumn(NamedTuple):
+    """Where one adaptive-width integer column's values sit in a blob."""
+
+    code: str  # struct format character; empty for the bigint escape
+    start: int  # offset of the first packed value
+    bigints: "_Prefixed | None"  # the values of a bigint-escape column
+
+    def value(self, blob: bytes, row: int) -> int:
+        if self.bigints is not None:
+            return int.from_bytes(self.bigints.item(blob, row), "big", signed=True)
+        size = _INT_WIDTHS[ord(self.code)]
+        (value,) = struct.unpack_from("<" + self.code, blob, self.start + row * size)
+        return value
+
+    def values(self, blob: bytes, count: int) -> "list[int]":
+        if self.bigints is not None:
+            return [int.from_bytes(raw, "big", signed=True) for raw in self.bigints.items(blob)]
+        return list(struct.unpack_from(f"<{count}{self.code}", blob, self.start))
+
+
+class _Frame(NamedTuple):
+    """The checked layout of one blob: where every column lives."""
+
+    count: int
+    flags: bytes
+    v6_rows: int
+    addresses: int  # offset of the address column
+    recv_times: int  # offset of the receive-time column
+    ints: "tuple[_IntColumn, ...]"  # boots, engine time, responses, wire bytes
+    engine_ids: _Prefixed  # one value per parsed row
+
+
+def _frame_prefixed(
+    blob: bytes, offset: int, count: int, what: str
+) -> "tuple[_Prefixed, int]":
+    """Walk ``count`` u16-length-prefixed values starting at ``offset``."""
+    ends: "list[int]" = []
+    append = ends.append
+    start, size = offset, len(blob)
+    for __ in range(count):
+        if offset + 2 > size:
+            raise WireFormatError(f"truncated {what} column")
+        # The little-endian length _U16 packs, read inline: this loop
+        # runs once per parsed row of every block a lookup frames.
+        offset += 2 + (blob[offset] | blob[offset + 1] << 8)
+        append(offset)
+    if offset > size:
+        raise WireFormatError(f"truncated {what} column")
+    return _Prefixed(start, ends), offset
+
+
+def _frame_int_column(blob: bytes, offset: int, count: int) -> "tuple[_IntColumn, int]":
+    if offset >= len(blob):
+        raise WireFormatError("truncated integer column")
+    code = blob[offset]
+    offset += 1
+    if code == _BIGINT:
+        bigints, end = _frame_prefixed(blob, offset, count, "bigint")
+        return _IntColumn("", offset, bigints), end
+    if code not in _INT_WIDTHS:
+        raise WireFormatError(f"unknown integer column code {code:#04x}")
+    end = offset + count * _INT_WIDTHS[code]
+    if end > len(blob):
+        raise WireFormatError("truncated integer column body")
+    return _IntColumn(chr(code), offset, None), end
+
+
+def _frame(blob: bytes) -> _Frame:
+    """Walk and check the whole layout of a blob without building rows.
+
+    Both :func:`decode_observations` and :func:`find_observation` read
+    through this, so a blob one of them rejects the other rejects too.
+    """
     if len(blob) < _HEADER.size:
         raise WireFormatError("truncated batch header")
     version, count = _HEADER.unpack_from(blob, 0)
@@ -161,39 +235,50 @@ def decode_observations(blob: bytes) -> "list[ScanObservation]":
     flags = blob[offset : offset + count]
     if len(flags) != count:
         raise WireFormatError("truncated flags column")
+    if count and max(flags) > _FLAG_V6 | _FLAG_PARSED:
+        raise WireFormatError("unknown row flag")
     offset += count
-    addresses: "list[ipaddress.IPv4Address | ipaddress.IPv6Address]" = []
-    for flag in flags:
-        width = 16 if flag & _FLAG_V6 else 4
-        if offset + width > len(blob):
-            raise WireFormatError("truncated address column")
-        raw = blob[offset : offset + width]
-        offset += width
-        if flag & _FLAG_V6:
-            addresses.append(ipaddress.IPv6Address(raw))
-        else:
-            addresses.append(ipaddress.IPv4Address(raw))
-    times_fmt = struct.Struct(f"<{count}d")
-    if offset + times_fmt.size > len(blob):
+    addresses = offset
+    v6_rows = flags.count(_FLAG_V6) + flags.count(_FLAG_V6 | _FLAG_PARSED)
+    offset += 4 * count + 12 * v6_rows
+    if offset > len(blob):
+        raise WireFormatError("truncated address column")
+    recv_times = offset
+    offset += 8 * count
+    if offset > len(blob):
         raise WireFormatError("truncated receive-time column")
-    recv_times = times_fmt.unpack_from(blob, offset)
-    offset += times_fmt.size
-    boots, offset = _decode_int_column(blob, offset, count)
-    etimes, offset = _decode_int_column(blob, offset, count)
-    responses, offset = _decode_int_column(blob, offset, count)
-    wire_bytes, offset = _decode_int_column(blob, offset, count)
+    ints: "list[_IntColumn]" = []
+    for __ in range(4):
+        column, offset = _frame_int_column(blob, offset, count)
+        ints.append(column)
+    parsed_rows = flags.count(_FLAG_PARSED) + flags.count(_FLAG_V6 | _FLAG_PARSED)
+    engine_ids, offset = _frame_prefixed(blob, offset, parsed_rows, "engine-ID")
+    if offset != len(blob):
+        raise WireFormatError("trailing bytes after observation batch")
+    return _Frame(count, flags, v6_rows, addresses, recv_times, tuple(ints), engine_ids)
+
+
+def decode_observations(blob: bytes) -> "list[ScanObservation]":
+    """Unpack a columnar blob back into observation records."""
+    frame = _frame(blob)
+    count = frame.count
+    addresses: "list[IPAddress]" = []
+    offset = frame.addresses
+    for flag in frame.flags:
+        if flag & _FLAG_V6:
+            addresses.append(ipaddress.IPv6Address(blob[offset : offset + 16]))
+            offset += 16
+        else:
+            addresses.append(ipaddress.IPv4Address(blob[offset : offset + 4]))
+            offset += 4
+    recv_times = struct.unpack_from(f"<{count}d", blob, frame.recv_times)
+    boots, etimes, responses, wire_bytes = (c.values(blob, count) for c in frame.ints)
+    engine_ids = frame.engine_ids.items(blob)
     observations: "list[ScanObservation]" = []
-    for row in range(count):
+    for row, flag in enumerate(frame.flags):
         engine_id = None
-        if flags[row] & _FLAG_PARSED:
-            if offset + 2 > len(blob):
-                raise WireFormatError("truncated engine-ID length")
-            (width,) = _U16.unpack_from(blob, offset)
-            offset += 2
-            if offset + width > len(blob):
-                raise WireFormatError("truncated engine-ID body")
-            engine_id = EngineId(blob[offset : offset + width])
-            offset += width
+        if flag & _FLAG_PARSED:
+            engine_id = EngineId(next(engine_ids))
         observations.append(
             ScanObservation(
                 address=addresses[row],
@@ -205,14 +290,81 @@ def decode_observations(blob: bytes) -> "list[ScanObservation]":
                 wire_bytes=wire_bytes[row],
             )
         )
-    if offset != len(blob):
-        raise WireFormatError("trailing bytes after observation batch")
     return observations
 
+
+def _find_row(blob: bytes, frame: _Frame, key: bytes) -> "tuple[int, int] | None":
+    """(row, address offset) of the first row whose packed address is ``key``."""
+    want_v6 = len(key) == 16
+    start = frame.addresses
+    if frame.v6_rows in (0, frame.count):
+        # One family: the column is a fixed stride, so a C-level substring
+        # search plus an alignment check finds the row without building
+        # any object.  Unaligned hits straddle two rows (or sit inside a
+        # v6 row) and are skipped.
+        if frame.count == 0 or (frame.v6_rows == frame.count) != want_v6:
+            return None
+        stride = len(key)
+        pos = blob.find(key, start, frame.recv_times)
+        while pos != -1:
+            if (pos - start) % stride == 0:
+                return (pos - start) // stride, pos
+            pos = blob.find(key, pos + 1, frame.recv_times)
+        return None
+    offset = start
+    for row, flag in enumerate(frame.flags):
+        width = 16 if flag & _FLAG_V6 else 4
+        if width == len(key) and blob[offset : offset + width] == key:
+            return row, offset
+        offset += width
+    return None
+
+
+def find_observation(blob: bytes, address: IPAddress) -> "ScanObservation | None":
+    """The first row of a blob whose address is ``address``, or ``None``.
+
+    Answers exactly what scanning :func:`decode_observations` for the
+    first matching row would, and rejects the same malformed blobs with
+    the same :class:`WireFormatError`, but decodes only the matching row:
+    the key is found in the raw packed address column.
+    """
+    frame = _frame(blob)
+    found = _find_row(blob, frame, address.packed)
+    if found is None:
+        return None
+    row, offset = found
+    flag = frame.flags[row]
+    stored: IPAddress
+    if flag & _FLAG_V6:
+        stored = ipaddress.IPv6Address(blob[offset : offset + 16])
+    else:
+        stored = ipaddress.IPv4Address(blob[offset : offset + 4])
+    if stored != address:
+        # A scoped IPv6 key packs like its unscoped form, yet no stored
+        # row (which never carries a scope) equals it.
+        return None
+    engine_id = None
+    if flag & _FLAG_PARSED:
+        parsed_before = frame.flags.count(_FLAG_PARSED, 0, row) + frame.flags.count(
+            _FLAG_V6 | _FLAG_PARSED, 0, row
+        )
+        engine_id = EngineId(frame.engine_ids.item(blob, parsed_before))
+    (recv_time,) = struct.unpack_from("<d", blob, frame.recv_times + 8 * row)
+    boots, etime, responses, wire_bytes = (c.value(blob, row) for c in frame.ints)
+    return ScanObservation(
+        address=stored,
+        recv_time=recv_time,
+        engine_id=engine_id,
+        engine_boots=boots,
+        engine_time=etime,
+        response_count=responses,
+        wire_bytes=wire_bytes,
+    )
 
 __all__ = [
     "WIRE_VERSION",
     "WireFormatError",
     "decode_observations",
     "encode_observations",
+    "find_observation",
 ]

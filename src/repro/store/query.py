@@ -46,8 +46,8 @@ class StoreQuery:
     def history(self, address: "IPAddress | str") -> "list[StoredObservation]":
         """Every sighting of one address, oldest round first.
 
-        Served from the segment footer indexes — only blocks whose
-        address range covers the key are decoded.
+        Served from the segments: each candidate block's raw address
+        column is scanned for the key and only the matching row decoded.
         """
         if isinstance(address, str):
             address = ipaddress.ip_address(address)

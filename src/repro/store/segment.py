@@ -31,11 +31,15 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from repro.net.addresses import IPAddress
 from repro.scanner.records import ScanObservation
-from repro.scanner.wire import decode_observations, encode_observations
+from repro.scanner.wire import (
+    decode_observations,
+    encode_observations,
+    find_observation,
+)
 
 #: Segment format version, bumped on any incompatible layout change.
 SEGMENT_VERSION = 1
@@ -186,8 +190,9 @@ class SegmentReader:
     """Random- and sequential-access view over one segment file.
 
     The constructor reads only the head (meta) and the footer index;
-    block bytes are fetched and decoded on demand, so a point lookup
-    touches just the blocks whose address range covers the key.
+    block bytes are fetched on demand.  Full reads decode whole blocks;
+    a point lookup scans the raw address column of each block whose
+    address range covers the key and decodes only the matching row.
     """
 
     def __init__(self, path: "str | Path") -> None:
@@ -242,32 +247,39 @@ class SegmentReader:
     def rows(self) -> int:
         return sum(block.rows for block in self.blocks)
 
-    def read_block(self, block: BlockInfo) -> list[ScanObservation]:
-        with self.path.open("rb") as handle:
-            handle.seek(block.offset)
-            blob = handle.read(block.length)
+    def _block_bytes(self, handle: BinaryIO, block: BlockInfo) -> bytes:
+        handle.seek(block.offset)
+        blob = handle.read(block.length)
         if len(blob) != block.length:
             raise SegmentError("truncated segment block")
-        return decode_observations(blob)
+        return blob
+
+    def read_block(self, block: BlockInfo) -> list[ScanObservation]:
+        with self.path.open("rb") as handle:
+            return decode_observations(self._block_bytes(handle, block))
 
     def observations(self) -> Iterator[ScanObservation]:
         """All rows in block order, decoded one block at a time."""
         with self.path.open("rb") as handle:
             for block in self.blocks:
-                handle.seek(block.offset)
-                blob = handle.read(block.length)
-                if len(blob) != block.length:
-                    raise SegmentError("truncated segment block")
-                yield from decode_observations(blob)
+                yield from decode_observations(self._block_bytes(handle, block))
 
     def lookup(self, address: IPAddress) -> "ScanObservation | None":
-        """Point lookup via the footer index; decodes candidate blocks only."""
-        for block in self.blocks:
-            if not block.may_contain(address):
-                continue
-            for observation in self.read_block(block):
-                if observation.address == address:
-                    return observation
+        """Point lookup: scan each candidate block's raw address column.
+
+        Blocks are in scan (permuted) order, so the footer's min/max
+        range rarely prunes; instead every candidate block is framed and
+        checked in full, the key is searched for in its packed address
+        column, and only the matching row is decoded.
+        """
+        candidates = [block for block in self.blocks if block.may_contain(address)]
+        if not candidates:
+            return None
+        with self.path.open("rb") as handle:
+            for block in candidates:
+                found = find_observation(self._block_bytes(handle, block), address)
+                if found is not None:
+                    return found
         return None
 
 

@@ -553,8 +553,9 @@ class Store:
     def history(self, address: IPAddress) -> "list[StoredObservation]":
         """Every stored observation of one address, oldest first.
 
-        Uses the segment footer indexes: only blocks whose address range
-        covers the key are read and decoded.
+        Each segment's blocks (those whose footer address range covers
+        the key) are searched in their raw packed address column; only
+        the matching row is decoded.
         """
         sightings: list[StoredObservation] = []
         for rid in self.rounds():

@@ -5,6 +5,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.scanner.records import ScanObservation
 from repro.scanner.wire import (
@@ -12,6 +13,7 @@ from repro.scanner.wire import (
     WireFormatError,
     decode_observations,
     encode_observations,
+    find_observation,
 )
 from repro.snmp.engine_id import EngineId
 
@@ -129,3 +131,158 @@ class TestMalformedBlobs:
         blob = encode_observations([_obs()])
         with pytest.raises(WireFormatError, match="trailing"):
             decode_observations(blob + b"\x00")
+
+
+# -- point lookups ------------------------------------------------------------
+
+_V4 = st.builds(ipaddress.IPv4Address, st.integers(0, (1 << 32) - 1))
+_V6 = st.builds(ipaddress.IPv6Address, st.integers(0, (1 << 128) - 1))
+#: A small pool, so batches repeat addresses and keys collide across rows.
+_POOL = st.sampled_from(
+    [ipaddress.ip_address(a) for a in (
+        "10.0.0.1", "10.0.0.2", "0.0.0.0", "1.2.3.4", "2001:db8::a00:1", "::",
+    )]
+)
+_INTS = st.one_of(st.integers(-3, 300), st.integers(-(1 << 80), 1 << 80))
+
+
+def _rows(addresses):
+    return st.lists(
+        st.builds(
+            ScanObservation,
+            address=addresses,
+            recv_time=st.floats(allow_nan=False, allow_infinity=False),
+            engine_id=st.none() | st.builds(EngineId, st.binary(max_size=24)),
+            engine_boots=_INTS,
+            engine_time=_INTS,
+            response_count=_INTS,
+            wire_bytes=_INTS,
+        ),
+        max_size=12,
+    )
+
+
+#: Single-family batches take the substring-search path, mixed ones the
+#: flag walk; both must see v4/v6 keys, parsed/unparsed rows and bigints.
+_BATCHES = st.one_of(
+    _rows(_V4 | _POOL.filter(lambda a: a.version == 4)),
+    _rows(_V6 | _POOL.filter(lambda a: a.version == 6)),
+    _rows(_V4 | _V6 | _POOL),
+)
+
+
+def _probe_keys(batch):
+    """Every stored address, plus every 4- and 16-byte window of the
+    packed address column: windows that straddle two rows or sit inside
+    a v6 row occur in the raw bytes without being a row's address."""
+    column = b"".join(obs.address.packed for obs in batch)
+    keys = {obs.address for obs in batch}
+    for width, family in ((4, ipaddress.IPv4Address), (16, ipaddress.IPv6Address)):
+        for offset in range(len(column) - width + 1):
+            keys.add(family(column[offset : offset + width]))
+    keys.add(ipaddress.ip_address("203.0.113.9"))
+    keys.add(ipaddress.ip_address("2001:db8:ffff::9"))
+    return keys
+
+
+def _first(rows, address):
+    return next((obs for obs in rows if obs.address == address), None)
+
+
+class TestFindObservation:
+    @settings(max_examples=200, deadline=None)
+    @given(_BATCHES)
+    def test_matches_the_first_decoded_row(self, batch):
+        blob = encode_observations(batch)
+        rows = decode_observations(blob)
+        for key in _probe_keys(batch):
+            assert find_observation(blob, key) == _first(rows, key)
+
+    def test_unaligned_hits_are_skipped(self):
+        batch = [_obs(address="1.2.3.4"), _obs(address="5.6.7.8")]
+        blob = encode_observations(batch)
+        assert find_observation(blob, ipaddress.ip_address("3.4.5.6")) is None
+        assert find_observation(blob, ipaddress.ip_address("5.6.7.8")) == batch[1]
+
+    def test_v4_key_inside_a_v6_row_is_not_a_match(self):
+        batch = [_obs(address="2001:db8::a00:1"), _obs(address="10.0.0.2")]
+        blob = encode_observations(batch)
+        assert find_observation(blob, ipaddress.ip_address("10.0.0.1")) is None
+        assert find_observation(blob, ipaddress.ip_address("10.0.0.2")) == batch[1]
+
+    def test_first_duplicate_wins(self):
+        batch = [_obs(engine_boots=1), _obs(engine_boots=2)]
+        found = find_observation(encode_observations(batch), batch[0].address)
+        assert found is not None and found.engine_boots == 1
+
+    def test_scoped_key_never_matches(self):
+        blob = encode_observations([_obs(address="fe80::1")])
+        assert find_observation(blob, ipaddress.ip_address("fe80::1%eth0")) is None
+
+    def test_empty_batch(self):
+        assert find_observation(encode_observations([]), ipaddress.ip_address("10.0.0.1")) is None
+
+
+def _outcome(fn, *args):
+    """('error', None) when ``fn`` rejects the blob, else ('ok', result)."""
+    try:
+        return "ok", fn(*args)
+    except WireFormatError:
+        return "error", None
+
+
+def _same_row(a, b):
+    # Compared through the codec: a bit flip can turn a receive time into
+    # NaN, which never compares equal to itself.
+    return (a is None) == (b is None) and (
+        a is None or encode_observations([a]) == encode_observations([b])
+    )
+
+
+class TestFailClosed:
+    """Truncated or bit-flipped blobs: :func:`find_observation` rejects
+    exactly the blobs :func:`decode_observations` rejects, and where both
+    accept one they agree on every row."""
+
+    @staticmethod
+    def _check(original, corrupted):
+        decoded, rows = _outcome(decode_observations, corrupted)
+        keys = {obs.address for obs in original} | {ipaddress.ip_address("203.0.113.9")}
+        if rows is not None:
+            keys |= {obs.address for obs in rows}
+        for key in keys:
+            found, row = _outcome(find_observation, corrupted, key)
+            assert found == decoded, key
+            if rows is not None:
+                assert _same_row(row, _first(rows, key)), key
+
+    @settings(max_examples=200, deadline=None)
+    @given(_BATCHES.filter(bool), st.data())
+    def test_truncations(self, batch, data):
+        blob = encode_observations(batch)
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        self._check(batch, blob[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BATCHES.filter(bool), st.data())
+    def test_bit_flips(self, batch, data):
+        blob = bytearray(encode_observations(batch))
+        bit = data.draw(st.integers(0, len(blob) * 8 - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        self._check(batch, bytes(blob))
+
+    def test_unknown_integer_column_code(self):
+        blob = bytearray(encode_observations([_obs()]))
+        code_offset = 5 + 1 + 4 + 8  # header, flags, address, receive time
+        assert blob[code_offset] == ord("b")
+        blob[code_offset] = ord("c")
+        for fn, args in ((decode_observations, ()), (find_observation, (_obs().address,))):
+            with pytest.raises(WireFormatError, match="integer column code"):
+                fn(bytes(blob), *args)
+
+    def test_unknown_row_flag(self):
+        blob = bytearray(encode_observations([_obs()]))
+        blob[5] |= 0x04
+        for fn, args in ((decode_observations, ()), (find_observation, (_obs().address,))):
+            with pytest.raises(WireFormatError, match="flag"):
+                fn(bytes(blob), *args)

@@ -1,6 +1,8 @@
 """The stdlib HTTP front-end: routing, status codes, lifecycle."""
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -118,3 +120,23 @@ class TestLifecycle:
         # The port is free again: a new server can bind it immediately.
         rebound = ServiceHttpServer(service=service, host=host, port=port)
         rebound.close()
+
+
+class TestKeepAlive:
+    def test_sequential_requests_do_not_wait_on_delayed_ack(self, server):
+        """Headers and body go out as two writes; with Nagle on, each
+        keep-alive reply stalls about 40 ms on the client's delayed ACK,
+        so 40 requests would take at least 1.6 s."""
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(40):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 1.0, f"40 keep-alive requests took {elapsed:.2f}s"

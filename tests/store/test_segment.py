@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from repro.scanner.wire import WireFormatError
 from repro.store.segment import (
     SegmentError,
     SegmentMeta,
@@ -16,6 +17,9 @@ from repro.store.segment import (
 )
 
 from tests.store.conftest import make_engine, make_obs
+
+#: On-disk footer entry: block offset, length, rows, min/max address.
+FOOTER_ENTRY = struct.Struct("<QII16s16s")
 
 META = SegmentMeta(
     round_id=3, label="v4-1", ip_version=4, started_at=1234.5, part=0
@@ -142,6 +146,33 @@ class TestCorruption:
         path.write_bytes(bytes(data))
         with pytest.raises(SegmentError):
             SegmentReader(path)
+
+    @pytest.mark.parametrize("how", ["file-cut", "footer-cut"])
+    def test_truncated_block_fails_lookup_closed(self, tmp_path, how):
+        """A lookup into a truncated block raises; it never answers None."""
+        path = tmp_path / "b.seg"
+        rows = sample_rows(20)
+        write_segment(path, META, rows, block_rows=10)
+        if how == "file-cut":
+            # The footer was read at open; the block bytes vanish after.
+            reader = SegmentReader(path)
+            last = reader.blocks[-1]
+            with path.open("r+b") as handle:
+                handle.truncate(last.offset + last.length - 1)
+        else:
+            # The footer claims one byte fewer than the block holds.
+            last = SegmentReader(path).blocks[-1]
+            data = bytearray(path.read_bytes())
+            entry = len(data) - 8 - FOOTER_ENTRY.size  # last entry, before the trailer
+            fields = list(FOOTER_ENTRY.unpack_from(data, entry))
+            fields[1] -= 1
+            FOOTER_ENTRY.pack_into(data, entry, *fields)
+            path.write_bytes(bytes(data))
+            reader = SegmentReader(path)
+            assert reader.blocks[-1].length == last.length - 1
+        for row in rows[10:]:
+            with pytest.raises((SegmentError, WireFormatError)):
+                reader.lookup(row.address)
 
     def test_bad_block_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
