@@ -21,9 +21,10 @@ in ``BENCH_campaign.json`` at the repo root:
   ``TIER_GAP_CEILING`` of the ~93k tier (the 21k→13k sag, gated).
 
 Identity is part of the contract, not a separate suite: the legacy
-loop, the batch pipeline, the multi-worker run, and the lazy and eager
-streamed worlds must all produce byte-identical scans before any
-throughput number is recorded.
+per-probe loop (the test-side oracle in ``tests/scanner/oracle.py``,
+swapped in by monkeypatch), the batch pipeline, the multi-worker run,
+and the lazy and eager streamed worlds must all produce byte-identical
+scans before any throughput number is recorded.
 
 Honesty rules: ``cpu_count`` is recorded; every timed leg runs in a
 fresh subprocess so no run is taxed by a predecessor's heap; gap
@@ -94,22 +95,24 @@ _results: dict = {}
 #: which is exactly what the old in-process dict comparison checked.
 _EAGER_CHILD = r"""
 import hashlib, json, sys, time
+from contextlib import nullcontext
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
 from repro.scanner.executor import ExecutionOptions
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
+from tests.scanner.oracle import per_probe_loop
 
 divisor, seed = float(sys.argv[1]), int(sys.argv[2])
 pipeline, workers = sys.argv[3] == "pipeline", int(sys.argv[4])
 cfg = TopologyConfig.paper_scale(divisor=divisor, seed=seed)
 topo = build_topology(cfg)
 campaign = ScanCampaign(
-    topology=topo, config=cfg,
-    options=ExecutionOptions(workers=workers, pipeline=pipeline),
+    topology=topo, config=cfg, options=ExecutionOptions(workers=workers),
 )
-started = time.perf_counter()
-result = campaign.run()
-wall = time.perf_counter() - started
+with nullcontext() if pipeline else per_probe_loop():
+    started = time.perf_counter()
+    result = campaign.run()
+    wall = time.perf_counter() - started
 digest = hashlib.sha256()
 for label in SCAN_LABELS:
     scan = result.scans[label]
@@ -148,8 +151,9 @@ print(json.dumps({
 
 def _run_child(child: str, argv: "list[str]") -> dict:
     env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + (
+    # src for the package, the repo root for the tests-side oracle.
+    paths = os.pathsep.join((str(REPO_ROOT / "src"), str(REPO_ROOT)))
+    env["PYTHONPATH"] = paths + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     proc = subprocess.run(

@@ -7,7 +7,9 @@ numbers in ``BENCH_pipeline.json`` at the repo root:
 * serial throughput of the pipeline, as campaign wall time AND as
   scan-phase time (the sum of shard wall clocks — the probe loop itself,
   excluding topology build, shard planning and result ingestion);
-* the same-run legacy-loop numbers, for an apples-to-apples ratio;
+* the same-run legacy-loop numbers, for an apples-to-apples ratio (the
+  per-probe loop is the test-side oracle in ``tests/scanner/oracle.py``,
+  swapped in for the pipeline by monkeypatch);
 * the ratio against the committed pre-pipeline baseline
   (``BENCH_parallel.json``'s ``probes_per_second_serial``, the per-probe
   loop on the reference host) — the ``>= 3x`` claim is asserted on the
@@ -35,6 +37,7 @@ topology and two serial reps (the CI configuration); the full run adds
 import json
 import os
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,7 @@ from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
 from repro.scanner.executor import ExecutionOptions
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
+from tests.scanner.oracle import per_probe_loop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_pipeline.json"
@@ -75,11 +79,12 @@ def _run(divisor: float, *, pipeline: bool, workers: int):
     topo = build_topology(cfg)
     campaign = ScanCampaign(
         topology=topo, config=cfg,
-        options=ExecutionOptions(workers=workers, pipeline=pipeline),
+        options=ExecutionOptions(workers=workers),
     )
-    started = time.perf_counter()
-    result = campaign.run()
-    wall = time.perf_counter() - started
+    with nullcontext() if pipeline else per_probe_loop():
+        started = time.perf_counter()
+        result = campaign.run()
+        wall = time.perf_counter() - started
     scan_seconds = sum(m.wall_time for m in result.metrics.values())
     probes = sum(m.probes_sent for m in result.metrics.values())
     return result, wall, scan_seconds, probes

@@ -63,7 +63,6 @@ from repro.scanner import (
     ScanResult,
     ScanStream,
     ShardedScanExecutor,
-    ZmapScanner,
 )
 from repro.snmp import EngineId, EngineIdFormat, SnmpAgent, SnmpClient, build_discovery_probe
 from repro.topology import (
@@ -116,7 +115,6 @@ __all__ = [
     "TopologyConfig",
     "TopologyGenerator",
     "TopologyOptions",
-    "ZmapScanner",
     "build_discovery_probe",
     "build_topology",
     "load_topology_file",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.alias.ipid import CounterAliasResolver, CounterOracle
 from repro.alias.sets import AliasSets
-from repro.compat import keyword_only_compat
 from repro.net.addresses import IPAddress
 from repro.topology.model import DeviceType, Topology
 
@@ -27,12 +26,10 @@ from repro.topology.model import DeviceType, Topology
 IP_ID_MODULUS = 1 << 16
 
 
-@keyword_only_compat("topology", "seed")
 class MidarResolver:
     """Run MIDAR-style resolution over IPv4 candidate addresses.
 
-    Arguments are keyword-only; the positional ``MidarResolver(topology,
-    seed)`` form is deprecated but still accepted.
+    Arguments are keyword-only.
     """
 
     def __init__(self, *, topology: "Topology | None" = None,

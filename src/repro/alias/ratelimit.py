@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 
 from repro.alias.sets import AliasSets
-from repro.compat import keyword_only_compat
 from repro.net.addresses import IPAddress
 from repro.net.ratelimit import RateLimit, TokenBucket
 from repro.topology.model import DeviceType, Topology
@@ -32,13 +31,10 @@ from repro.topology.model import DeviceType, Topology
 _TokenBucket = TokenBucket
 
 
-@keyword_only_compat("topology", "seed")
 class IcmpRateLimitOracle:
     """Answers echo probes subject to each device's shared limiter.
 
-    Arguments are keyword-only; the positional
-    ``IcmpRateLimitOracle(topology, seed)`` form is deprecated but still
-    accepted.
+    Arguments are keyword-only.
     """
 
     #: Common limiter configurations (replies/second).

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.alias.ipid import CounterAliasResolver, CounterOracle
 from repro.alias.sets import AliasSets
-from repro.compat import keyword_only_compat
 from repro.net.addresses import IPAddress
 from repro.topology.model import DeviceType, Topology
 
@@ -20,13 +19,10 @@ from repro.topology.model import DeviceType, Topology
 FRAG_ID_MODULUS = 1 << 32
 
 
-@keyword_only_compat("topology", "seed")
 class SpeedtrapResolver:
     """Run Speedtrap-style resolution over IPv6 candidate addresses.
 
-    Arguments are keyword-only; the positional
-    ``SpeedtrapResolver(topology, seed)`` form is deprecated but still
-    accepted.
+    Arguments are keyword-only.
     """
 
     def __init__(self, *, topology: "Topology | None" = None,

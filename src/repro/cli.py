@@ -3,7 +3,7 @@
 Four subcommands mirror the measurement workflow::
 
     snmpv3-repro scan    --scale 300 --out runs/demo     # campaign -> JSONL
-    snmpv3-repro scan    --workers 4 --stats ...         # sharded engine
+    snmpv3-repro scan    --workers 4 --stats ...         # 4 worker processes
     snmpv3-repro scan    --store obs ...                 # + stream into a store
     snmpv3-repro analyze runs/demo                       # filter+alias+census
     snmpv3-repro report  --scale 100 [--quick]           # full paper report
@@ -93,7 +93,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         batch_size=args.batch_size,
         window=args.window,
-        pipeline=False if args.no_pipeline else None,
         fault_profile=args.fault_profile,
         retry=retry,
         profile=args.profile,
@@ -500,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--seed", type=int, default=2021)
     scan.add_argument("--out", default="runs/latest")
     scan.add_argument("--workers", type=int, default=None,
-                      help="worker processes for the sharded engine (default 1)")
+                      help="worker processes for the scan engine (default 1)")
     scan.add_argument("--shards", type=int, default=None,
                       help="shard count (default 16; results are "
                            "worker-count independent at a fixed shard count)")
@@ -528,10 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="targets planned per streaming window "
                            "(default 65536; like --shards, part of the "
                            "deterministic result geometry)")
-    scan.add_argument("--no-pipeline", action="store_true",
-                      help="use the historical per-probe loop instead of "
-                           "the batch pipeline (byte-identical; for A/B "
-                           "timing comparisons)")
     from repro.net.faults import FAULT_PROFILES
     scan.add_argument("--fault-profile", default=None,
                       choices=sorted(FAULT_PROFILES),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.experiments.context import ExperimentContext
 from repro.fingerprint.middlebox import MiddleboxDetector, MiddleboxReport
 from repro.net.transport import LinkProfile, NetworkFabric
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
+from repro.scanner.executor import ExecutorConfig, ShardedScanExecutor
 from repro.snmp.constants import SNMP_PORT
 from repro.topology import timeline
 
@@ -122,8 +122,13 @@ def longitudinal_experiment(
     (boots increment), DHCP-pool devices re-address — but engine IDs
     persist across all of it, which is precisely why the paper calls the
     engine ID a *strong, persistent* identifier.
+
+    Follow-up scans run on the sharded engine, which restores agent
+    session state after every shard: ``ctx.topology`` is left exactly as
+    the original campaign left it.
     """
     topology = ctx.topology
+    owner_of = topology.address_owners().get
     base_scan, __ = ctx.campaign.scan_pair(4)
     baseline = {
         address: obs.engine_id.raw
@@ -149,7 +154,12 @@ def longitudinal_experiment(
             for interface in device.interfaces:
                 if interface.snmp_reachable:
                     fabric.bind(interface.address, "udp", SNMP_PORT, handler)
-        scanner = ZmapScanner(fabric=fabric, config=ZmapConfig())
+        scanner = ShardedScanExecutor(
+            fabric=fabric,
+            devices=topology.devices,
+            owner_of=owner_of,
+            config=ExecutorConfig(seed=topology.seed),
+        )
         scan = scanner.scan(
             sorted(topology.all_addresses(4), key=int),
             label=f"follow-up+{offset:g}d",

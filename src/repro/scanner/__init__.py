@@ -3,12 +3,11 @@
 Mirrors the paper's §3.2 measurement setup:
 
 * :mod:`repro.scanner.records` — the observation records a scan produces;
-* :mod:`repro.scanner.zmap` — the legacy ZMap-equivalent engine: permuted
-  targets, rate-limited single-probe-per-IP UDP scanning, full response
-  capture with receive timestamps;
-* :mod:`repro.scanner.executor` — the sharded, streaming engine: the same
-  probe semantics partitioned into deterministic shards that run on a
-  worker pool and yield bounded observation batches;
+* :mod:`repro.scanner.zmap` — the ZMap-equivalent scan parameters: probe
+  rate, source addresses and the target-permutation seed;
+* :mod:`repro.scanner.executor` — the scan engine: permuted targets,
+  one probe per IP, partitioned into deterministic shards that run
+  inline or on a worker pool and yield bounded observation batches;
 * :mod:`repro.scanner.metrics` — per-shard/per-scan execution metrics;
 * :mod:`repro.scanner.campaign` — orchestration of the paper's four
   campaigns (two IPv4 scans, two IPv6 scans) including the interim events
@@ -16,7 +15,7 @@ Mirrors the paper's §3.2 measurement setup:
 """
 
 from repro.scanner.records import ScanObservation, ScanResult
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
+from repro.scanner.zmap import ZmapConfig
 from repro.scanner.executor import (
     ExecutionOptions,
     ExecutorConfig,
@@ -41,5 +40,4 @@ __all__ = [
     "ShardMetrics",
     "ShardedScanExecutor",
     "ZmapConfig",
-    "ZmapScanner",
 ]

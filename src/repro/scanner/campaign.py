@@ -15,12 +15,12 @@ IPv4 scans target every address in the simulated address plan (equivalent
 to probing the full routable space — unassigned addresses never answer);
 IPv6 scans target the IPv6 Hitlist view only, as the paper does.
 
-Two execution engines are available.  The default is the legacy
-synchronous :class:`ZmapScanner` pass.  Passing ``workers=`` (or
-``num_shards=``/``batch_size=``) selects the sharded streaming engine of
+Every scan runs on the one engine, the sharded batch pipeline of
 :mod:`repro.scanner.executor`, whose results are byte-identical for any
 worker count at a fixed seed; :meth:`ScanCampaign.run_streaming` exposes
-the same engine as an incremental per-scan observation stream.
+it as an incremental per-scan observation stream.  Sequential layouts
+plan each scan over its whole target list (``execute``), streamed
+layouts window by window (``execute_stream``).
 
 Streamed layouts (``TopologyConfig(layout="streamed")``) change the
 campaign's memory shape, not its semantics.  A
@@ -45,13 +45,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.compat import keyword_only_compat
 from repro.net.addresses import IPAddress
-from repro.net.faults import FaultProfile
 from repro.net.transport import Handler, LinkProfile, NetworkFabric
 from repro.scanner.executor import (
     ExecutionOptions,
-    RetryPolicy,
     ScanExecution,
     ShardedScanExecutor,
     ShardSpec,
@@ -61,7 +58,6 @@ from repro.scanner.executor import (
 from repro.scanner.metrics import ExecutorMetrics, ShardMetrics
 from repro.scanner.pool import WorkerPool
 from repro.scanner.records import ScanObservation, ScanResult
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
 from repro.snmp.constants import SNMP_PORT
 from repro.topology import timeline
 from repro.topology.config import TopologyConfig
@@ -107,7 +103,7 @@ class CampaignResult:
     #: query ``topology.owner_of``/``binding_of`` instead of a snapshot.
     bindings: dict[str, dict[IPAddress, int]] = field(default_factory=dict)
     datasets: "RouterDatasets | StreamedRouterDatasets | None" = None
-    #: Per-scan execution metrics; populated only by the sharded engine.
+    #: Per-scan execution metrics, one entry per scan label.
     metrics: dict[str, ExecutorMetrics] = field(default_factory=dict)
 
     def scan_pair(self, version: int) -> tuple[ScanResult, ScanResult]:
@@ -178,18 +174,13 @@ class ScanStream:
             yield from batch
 
 
-@keyword_only_compat("topology", "config", "loss_probability")
 class ScanCampaign:
     """Runs the four-scan measurement campaign against a topology.
 
-    All constructor arguments are keyword-only; the historical positional
-    form ``ScanCampaign(topology, config, loss_probability)`` still works
-    but emits a :class:`DeprecationWarning`.
-
-    Execution shape is best supplied as one
-    :class:`~repro.scanner.executor.ExecutionOptions` object; the flat
-    keyword arguments remain as aliases for callers that predate it.
-    Mixing ``options`` with any flat execution kwarg is an error.
+    Arguments are keyword-only.  Execution shape (workers, geometry,
+    retries, faults, link loss) comes from one
+    :class:`~repro.scanner.executor.ExecutionOptions` object; unset
+    fields take engine defaults.
     """
 
     def __init__(
@@ -197,40 +188,12 @@ class ScanCampaign:
         *,
         topology: "Topology | LazyTopology | None" = None,
         config: "TopologyConfig | None" = None,
-        loss_probability: "float | None" = None,
-        workers: "int | None" = None,
-        num_shards: "int | None" = None,
-        batch_size: "int | None" = None,
-        fault_profile: "FaultProfile | str | None" = None,
-        retry: "RetryPolicy | None" = None,
-        profile: bool = False,
         options: "ExecutionOptions | None" = None,
     ) -> None:
         if topology is None:
             raise TypeError("ScanCampaign requires a topology")
         if options is None:
-            options = ExecutionOptions(
-                workers=workers,
-                num_shards=num_shards,
-                batch_size=batch_size,
-                retry=retry,
-                profile=profile,
-                fault_profile=fault_profile,
-                loss_probability=loss_probability,
-            )
-        elif (
-            workers is not None
-            or num_shards is not None
-            or batch_size is not None
-            or fault_profile is not None
-            or retry is not None
-            or profile
-            or loss_probability is not None
-        ):
-            raise TypeError(
-                "pass execution knobs either via options=ExecutionOptions(...) "
-                "or as flat keyword arguments, not both"
-            )
+            options = ExecutionOptions()
         self.topology = topology
         self._lazy = isinstance(topology, LazyTopology)
         self._streamed = (
@@ -273,12 +236,6 @@ class ScanCampaign:
         )
         if options.fault_profile is not None:
             self._fabric.set_fault_profile(options.fault_profile)
-        self._scanner = ZmapScanner(fabric=self._fabric, config=ZmapConfig())
-        # Geometry, pipeline, retry or profiling knobs imply the sharded
-        # engine: the legacy scanner has no retry loop and no stage timers.
-        # Streamed layouts always use it — only the executor can plan and
-        # probe a target *iterator* window by window.
-        self._use_executor = options.selects_executor or self._streamed
         self._executor_config = options.executor_config(topology.seed)
         # address -> device id, the campaign's live view (mutated by churn).
         self._binding: dict[IPAddress, int] = {}
@@ -315,10 +272,9 @@ class ScanCampaign:
     def run(self) -> CampaignResult:
         """Execute all four scans in chronological order.
 
-        With the sharded engine selected (``workers=...``), per-scan
-        :class:`ExecutorMetrics` land in ``result.metrics``.  A parallel
-        run forks its worker pool once, right after campaign setup, and
-        reuses it for all four scans.
+        Per-scan :class:`ExecutorMetrics` land in ``result.metrics``.  A
+        parallel run forks its worker pool once, right after campaign
+        setup, and reuses it for all four scans.
         """
         result = CampaignResult()
         self._setup(result)
@@ -328,37 +284,24 @@ class ScanCampaign:
                     self.topology.derive_seconds if self._lazy else 0.0  # type: ignore[union-attr]
                 )
                 version, start, rate, targets = self._advance_to(label, result)
-                if self._streamed:
-                    execution = self._execute_scan(pool, label, version,
-                                                   start, rate, targets)
-                    result.scans[label] = execution.result()
-                    result.metrics[label] = execution.metrics
-                    if self._lazy:
-                        execution.metrics.derive_time = (
-                            self.topology.derive_seconds - derive_base  # type: ignore[union-attr]
-                        )
-                elif self._use_executor:
-                    execution = self._make_executor(pool).execute(
-                        targets, label=label, ip_version=version,
-                        start_time=start, rate_pps=rate,
-                    )
-                    result.scans[label] = execution.result()
-                    result.metrics[label] = execution.metrics
-                else:
-                    result.scans[label] = self._scanner.scan(
-                        targets, label=label, ip_version=version,
-                        start_time=start, rate_pps=rate,
+                execution = self._execute_scan(pool, label, version,
+                                               start, rate, targets)
+                result.scans[label] = execution.result()
+                result.metrics[label] = execution.metrics
+                if self._lazy:
+                    execution.metrics.derive_time = (
+                        self.topology.derive_seconds - derive_base  # type: ignore[union-attr]
                     )
         return result
 
     def run_streaming(self) -> Iterator[ScanStream]:
         """Yield one :class:`ScanStream` per scan, in schedule order.
 
-        Always uses the sharded engine.  Each stream's batches must be
-        consumed before requesting the next stream: the inter-scan events
-        (reboots, churn) rebind fabric endpoints in place.  The worker
-        pool (if any) stays alive across all four streams and shuts down
-        when the generator finishes.
+        Each stream's batches must be consumed before requesting the
+        next stream: the inter-scan events (reboots, churn) rebind
+        fabric endpoints in place.  The worker pool (if any) stays alive
+        across all four streams and shuts down when the generator
+        finishes.
         """
         result = CampaignResult()
         self._setup(result)
@@ -415,20 +358,9 @@ class ScanCampaign:
         if self._datasets is None:
             self._setup(CampaignResult())
         self._apply_due_reboots(start_time)
-        if self._streamed:
-            return self._make_executor().execute_stream(
-                iter(targets), label=label, ip_version=ip_version,
-                start_time=start_time, rate_pps=rate_pps,
-            ).result()
-        if self._use_executor:
-            return self._make_executor(None).execute(
-                list(targets), label=label, ip_version=ip_version,
-                start_time=start_time, rate_pps=rate_pps,
-            ).result()
-        return self._scanner.scan(
-            list(targets), label=label, ip_version=ip_version,
-            start_time=start_time, rate_pps=rate_pps,
-        )
+        return self._execute_scan(
+            None, label, ip_version, start_time, rate_pps, targets
+        ).result()
 
     # -- schedule ---------------------------------------------------------------
 
@@ -491,15 +423,6 @@ class ScanCampaign:
         result.bindings[label] = dict(self._binding)
         return version, start, rate, targets
 
-    def _scan_schedule(
-        self, result: CampaignResult
-    ) -> "Iterator[tuple[str, int, float, float, list[IPAddress] | Iterator[IPAddress]]]":
-        """Drive the four-scan timeline: interim events, targets, bindings."""
-        self._setup(result)
-        for label in SCAN_LABELS:
-            version, start, rate, targets = self._advance_to(label, result)
-            yield label, version, start, rate, targets
-
     @contextmanager
     def _pool_scope(self) -> "Iterator[WorkerPool | None]":
         """A campaign-lifetime worker pool, or ``None`` on the serial path.
@@ -510,8 +433,7 @@ class ScanCampaign:
         """
         workers = self._executor_config.workers
         if (
-            not self._use_executor
-            or self._streamed
+            self._streamed
             # Streamed campaigns parallelize per planning window with
             # ephemeral pools: a fork-time replica of a lazy world would
             # freeze one window's resident devices for the whole run.
@@ -549,7 +471,6 @@ class ScanCampaign:
             devices=self.topology.devices,
             owner_of=owner_of,
             config=self._executor_config,
-            zmap_config=self._scanner.config,
             pool=pool,
             owner_of_batch=owner_of_batch,
             # Lazy worlds fast-reject closed devices at the fabric, so

@@ -1,9 +1,9 @@
-"""Sharded, streaming scan execution.
+"""Sharded, streaming scan execution — the one scan engine.
 
-The legacy :class:`~repro.scanner.zmap.ZmapScanner` walks the whole
-target permutation in one synchronous pass and materializes every
-observation before anything downstream runs.  This module replaces that
-shape for production-scale campaigns:
+Every scan — the paper's four-scan campaign, service re-probes, the
+follow-up and remediation experiments — runs here.  The engine permutes
+its targets ZMap-style, sends one probe per target in virtual time, and
+turns replies into observations, shaped for Internet-scale campaigns:
 
 * **Sharding** — the permuted target list is partitioned into a fixed
   number of shards, grouped by *owning device* so that all probes that
@@ -22,11 +22,10 @@ shape for production-scale campaigns:
   campaign, the filter pipeline and the JSONL exporters never hold a
   full Internet-scale scan in memory.
 
-The probe hot loop uses
-:func:`repro.snmp.messages.encode_discovery_probe` (byte-identical to
-the message-object path, ~6x cheaper), which makes the sharded engine
-measurably faster than the legacy scanner even on a single core — see
-``benchmarks/test_bench_executor.py``.
+Each shard's probes run through the batch-staged pipeline of
+:mod:`repro.scanner.pipeline` (vectorized probe encode, batched fabric
+delivery, a structural reply matcher) — see
+``benchmarks/test_bench_pipeline.py``.
 """
 
 from __future__ import annotations
@@ -41,16 +40,13 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.net.addresses import IPAddress
-from repro.net.packet import Datagram
-from repro.net.transport import FabricView, HandlerTimer, NetworkFabric
+from repro.net.transport import HandlerTimer, NetworkFabric
 from repro.scanner.metrics import ExecutorMetrics, ShardMetrics
 from repro.scanner.pipeline import StageTimings, probe_targets_pipelined
 from repro.scanner.pool import MSG_METRICS, WorkerPool
 from repro.scanner.records import ScanObservation, ScanResult
 from repro.scanner.wire import decode_observations
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
-from repro.snmp.constants import SNMP_PORT
-from repro.snmp.messages import encode_discovery_probe
+from repro.scanner.zmap import ZmapConfig
 
 if TYPE_CHECKING:
     from repro.net.faults import FaultProfile
@@ -84,8 +80,8 @@ class RetryPolicy:
     ``max_retries`` bounds how many *additional* probes a target gets
     when the first one yields no parseable reply.  ``timeout`` (virtual
     seconds) discards replies arriving later than ``send + timeout`` —
-    ``None`` disables the deadline entirely, which is the legacy
-    behaviour.  Retries are spaced ``timeout + backoff_base *
+    ``None`` disables the deadline entirely, which is the default
+    single-probe behaviour.  Retries are spaced ``timeout + backoff_base *
     backoff_factor**attempt`` apart in virtual time (exponential
     backoff, so rate-limited targets see widening gaps).
 
@@ -138,8 +134,7 @@ class ExecutorConfig:
     (the serial fallback, also used where ``fork`` is unavailable).
     ``seed`` is the determinism root — campaigns pass ``topology.seed``.
     ``retry`` is the per-probe fault-tolerance policy; the default policy
-    (no retries, no timeout) reproduces the legacy single-probe engine
-    exactly, including its RNG streams.
+    (no retries, no timeout) is the paper's single-probe scan.
     """
 
     workers: int = 1
@@ -151,10 +146,6 @@ class ExecutorConfig:
     #: the shard metrics.  Off by default: the timers cost real time in
     #: the probe hot loop.  Never affects scan *results*.
     profile: bool = False
-    #: Run the batch-staged probe pipeline (:mod:`repro.scanner.pipeline`).
-    #: ``False`` selects the legacy per-probe loop for A/B comparison;
-    #: both produce byte-identical results.
-    pipeline: bool = True
     #: In-flight probes per pipeline stage pass.
     window: int = DEFAULT_WINDOW
     #: Targets per planning window on the streaming path
@@ -187,12 +178,11 @@ class ExecutionOptions:
 
     One frozen object carrying every way a caller can shape *how* a
     campaign executes — worker processes, shard/batch/window geometry,
-    the batch-pipeline A/B switch, retry policy, stage profiling and the
-    fabric's fault injection — without touching *what* it measures.
-    ``None`` means "engine default".  :class:`~repro.api.Session`,
-    ``run_campaign`` and the CLI accept this object; the historical flat
-    keyword arguments remain as deprecated aliases (API002 lints against
-    growing new ones).
+    retry policy, stage profiling and the fabric's fault injection —
+    without touching *what* it measures.  ``None`` means "engine
+    default".  :class:`~repro.api.Session`, ``run_campaign``,
+    :class:`~repro.scanner.campaign.ScanCampaign` and the CLI accept this
+    object and nothing else (API002 lints against flat keyword growth).
 
     ``fault_profile`` and ``loss_probability`` ride along because the
     facade has always treated them as execution shape: they select what
@@ -203,34 +193,12 @@ class ExecutionOptions:
     num_shards: "int | None" = None
     batch_size: "int | None" = None
     window: "int | None" = None
-    pipeline: "bool | None" = None
     retry: "RetryPolicy | None" = None
     profile: bool = False
     fault_profile: "FaultProfile | str | None" = None
     loss_probability: "float | None" = None
     #: Targets per streaming planning window (streamed-layout campaigns).
     target_window: "int | None" = None
-
-    @property
-    def selects_executor(self) -> bool:
-        """Whether any sharded-engine knob is set.
-
-        Mirrors the flat-kwarg behavior exactly: geometry, pipeline,
-        retry or profiling knobs imply the sharded engine, while
-        ``fault_profile``/``loss_probability`` only shape the fabric —
-        a campaign with just those still runs the legacy single-pass
-        scanner, the facade's long-standing default.
-        """
-        return (
-            self.workers is not None
-            or self.num_shards is not None
-            or self.batch_size is not None
-            or self.window is not None
-            or self.pipeline is not None
-            or self.retry is not None
-            or self.profile
-            or self.target_window is not None
-        )
 
     def executor_config(self, seed: int) -> ExecutorConfig:
         """Materialize an :class:`ExecutorConfig`, defaulting unset fields."""
@@ -245,7 +213,6 @@ class ExecutionOptions:
             seed=seed,
             retry=self.retry if self.retry is not None else RetryPolicy(),
             profile=self.profile,
-            pipeline=True if self.pipeline is None else self.pipeline,
             window=DEFAULT_WINDOW if self.window is None else self.window,
             target_window=0 if self.target_window is None else self.target_window,
         )
@@ -323,8 +290,9 @@ def plan_shards(
 ) -> list[ShardSpec]:
     """Partition a target list into deterministic shards.
 
-    Targets are permuted exactly like the legacy scanner (so probe
-    ``msg_id``/send-time assignment is comparable), then routed to
+    Targets are permuted ZMap-style (a seeded Fisher-Yates shuffle keyed
+    on the scan label, which fixes each probe's ``msg_id`` and send
+    slot), then routed to
     ``owner_device_id % num_shards``.  Addresses with no owning device
     (closed or unassigned — they can never answer or consume RNG) are
     spread by address hash.
@@ -462,7 +430,7 @@ class ScanExecution:
     ``batches()`` (or ``observations()``) may be consumed once; metrics
     finalize when the stream is exhausted.  ``result()`` drains the
     stream into a materialized :class:`ScanResult` for callers that
-    still want the legacy shape.
+    want the whole scan at once.
     """
 
     def __init__(
@@ -480,7 +448,7 @@ class ScanExecution:
         self.label = params.label
         self.ip_version = params.ip_version
         self.started_at = params.start_time
-        #: Virtual completion time: one send slot per target, as legacy.
+        #: Virtual completion time: one send slot per target.
         self.finished_at = params.start_time + total_targets * params.interval
         self.metrics = ExecutorMetrics(
             label=params.label,
@@ -502,7 +470,7 @@ class ScanExecution:
             yield from batch
 
     def result(self) -> ScanResult:
-        """Materialize the stream into a legacy :class:`ScanResult`."""
+        """Materialize the stream into a :class:`ScanResult`."""
         scan = ScanResult(
             label=self.label,
             ip_version=self.ip_version,
@@ -676,7 +644,9 @@ class ShardedScanExecutor:
     ``fabric`` — but needs the live ``owner_of`` view (address → device
     id) to co-locate each device's addresses in one shard, and the
     ``devices`` registry to snapshot/restore agent session state around
-    shard execution.  Both come from the campaign.
+    shard execution.  Both come from the caller (usually the campaign).
+    Probe rate, source addresses and the permutation seed are the
+    paper's :class:`~repro.scanner.zmap.ZmapConfig` defaults.
     """
 
     def __init__(
@@ -686,7 +656,6 @@ class ShardedScanExecutor:
         devices: "Mapping[int, Device]",
         owner_of: "Callable[[IPAddress], int | None] | None" = None,
         config: "ExecutorConfig | None" = None,
-        zmap_config: "ZmapConfig | None" = None,
         pool: "WorkerPool | None" = None,
         owner_of_batch: "Callable[[list[IPAddress]], list[int | None]] | None" = None,
         snapshot_filter: "Callable[[tuple[int, ...]], list[int]] | None" = None,
@@ -709,7 +678,7 @@ class ShardedScanExecutor:
         # devices that cannot answer.
         self._snapshot_filter = snapshot_filter
         self.config = config or ExecutorConfig()
-        self.zmap_config = zmap_config or ZmapConfig()
+        self.zmap_config = ZmapConfig()
         # Campaign-owned persistent pool; when absent, a parallel scan
         # forks an ephemeral pool of its own for the scan's duration.
         self._pool = pool
@@ -812,7 +781,7 @@ class ShardedScanExecutor:
         start_time: float,
         rate_pps: "float | None" = None,
     ) -> ScanResult:
-        """Drop-in materialized equivalent of :meth:`ZmapScanner.scan`."""
+        """Probe every target once; return the materialized scan result."""
         return self.execute(
             targets,
             label=label,
@@ -952,13 +921,6 @@ class ShardedScanExecutor:
 
         return batches(), shard
 
-    def _execute_shard(
-        self, spec: ShardSpec, params: _ScanParams
-    ) -> tuple[list[ScanObservation], ShardMetrics]:
-        """Materialized equivalent of :meth:`stream_shard` (tests, tools)."""
-        shard = ShardMetrics(shard_index=spec.index, targets=len(spec.items))
-        return list(self._probe_shard(spec, params, shard)), shard
-
     def _probe_shard(
         self, spec: ShardSpec, params: _ScanParams, shard: ShardMetrics
     ) -> Iterator[ScanObservation]:
@@ -978,11 +940,6 @@ class ShardedScanExecutor:
 
         Observations are yielded as they are made; ``shard`` is finalized
         (fabric stats, wall time, stage timings) on exhaustion.
-
-        ``config.pipeline`` selects between the batch-staged pipeline
-        (:mod:`repro.scanner.pipeline`, the default) and the historical
-        per-probe loop; the two are byte-identical, so the switch exists
-        purely for A/B measurement.
         """
         shard_started = time.perf_counter()
         config = self.config
@@ -998,15 +955,10 @@ class ShardedScanExecutor:
         ]
         yielded = 0
         timings = StageTimings()
-        if config.pipeline:
-            produce = probe_targets_pipelined(
-                view, spec, params, config.retry, config.window,
-                self._owner_of, shard, timings, profile,
-            )
-        else:
-            produce = self._probe_targets_legacy(
-                view, spec, params, shard, timings, profile
-            )
+        produce = probe_targets_pipelined(
+            view, spec, params, config.retry, config.window,
+            self._owner_of, shard, timings, profile,
+        )
         try:
             for observation in produce:
                 yielded += 1
@@ -1034,106 +986,6 @@ class ShardedScanExecutor:
             shard.fabric_time = max(0.0, timings.inject - timer.seconds)
             shard.decode_time = timings.decode
         shard.wall_time = time.perf_counter() - shard_started
-
-    def _probe_targets_legacy(
-        self,
-        view: FabricView,
-        spec: ShardSpec,
-        params: _ScanParams,
-        shard: ShardMetrics,
-        timings: StageTimings,
-        profile: bool,
-    ) -> Iterator[ScanObservation]:
-        """The historical per-probe loop (``pipeline=False`` A/B path)."""
-        source = params.source
-        sport = params.source_port
-        start_time = params.start_time
-        interval = params.interval
-        observe = ZmapScanner._observe
-        inject = view.inject
-        retry = self.config.retry
-        timeout = retry.timeout
-        owner_of = self._owner_of
-        retrying = retry.max_retries > 0
-        encode_elapsed = 0.0
-        inject_elapsed = 0.0
-        decode_elapsed = 0.0
-        # Consecutive unanswered probes per device (circuit breaker).
-        dead_streak: dict[object, int] = {}
-        try:
-            for global_index, target in spec.items:
-                send_time = start_time + global_index * interval
-                if profile:
-                    stage_started = time.perf_counter()
-                    payload = encode_discovery_probe(global_index + 1)
-                    encode_elapsed += time.perf_counter() - stage_started
-                else:
-                    payload = encode_discovery_probe(global_index + 1)
-                if retrying and retry.breaker_threshold:
-                    breaker_key = owner_of(target)
-                    if breaker_key is None:
-                        breaker_key = target
-                    allow_retries = (
-                        dead_streak.get(breaker_key, 0) < retry.breaker_threshold
-                    )
-                else:
-                    breaker_key = None
-                    allow_retries = retrying
-                observation = None
-                attempt = 0
-                while True:
-                    datagram = Datagram(
-                        src=source,
-                        dst=target,
-                        sport=sport,
-                        dport=SNMP_PORT,
-                        payload=payload,
-                        sent_at=send_time,
-                    )
-                    if profile:
-                        stage_started = time.perf_counter()
-                        replies = inject(datagram, now=send_time)
-                        inject_elapsed += time.perf_counter() - stage_started
-                    else:
-                        replies = inject(datagram, now=send_time)
-                    if timeout is not None and replies:
-                        on_time = [
-                            entry
-                            for entry in replies
-                            if entry[1] - send_time <= timeout
-                        ]
-                        shard.timed_out += len(replies) - len(on_time)
-                        replies = on_time
-                    if replies:
-                        if profile:
-                            stage_started = time.perf_counter()
-                            observation = observe(target, replies)
-                            decode_elapsed += time.perf_counter() - stage_started
-                        else:
-                            observation = observe(target, replies)
-                        if observation.engine_id is not None:
-                            break
-                    if not allow_retries or attempt >= retry.max_retries:
-                        break
-                    attempt += 1
-                    shard.retries += 1
-                    send_time = retry.retry_send_time(send_time, attempt)
-                if observation is not None:
-                    if observation.engine_id is None:
-                        shard.unparsed += 1
-                    yield observation
-                if breaker_key is not None:
-                    if observation is None:
-                        streak = dead_streak.get(breaker_key, 0) + 1
-                        dead_streak[breaker_key] = streak
-                        if streak == retry.breaker_threshold:
-                            shard.breaker_tripped += 1
-                    else:
-                        dead_streak[breaker_key] = 0
-        finally:
-            timings.encode += encode_elapsed
-            timings.inject += inject_elapsed
-            timings.decode += decode_elapsed
 
 
 __all__ = [

@@ -18,7 +18,7 @@ class ShardMetrics:
 
     The retry/fault counters (``retries`` through ``corrupted``) stay
     zero for the default :class:`~repro.scanner.executor.RetryPolicy`
-    with no fault profile attached — the legacy single-probe path.
+    with no fault profile attached — the paper's single-probe scan.
     """
 
     shard_index: int

@@ -1,9 +1,9 @@
 """Batch-staged probe pipeline for the sharded scan executor.
 
-The legacy hot loop in :mod:`repro.scanner.executor` pays Python dispatch
-per *packet*: encode one probe, build one :class:`~repro.net.packet.
-Datagram`, walk the fault fabric, call the agent, fully decode the reply
-— then start over.  This module restructures one shard's probe work into
+A per-probe scan loop pays Python dispatch per *packet*: encode one
+probe, build one :class:`~repro.net.packet.Datagram`, walk the fault
+fabric, call the agent, fully decode the reply — then start over.  This
+module, the executor's only probe path, runs one shard's probe work as
 stages over *windows* of targets:
 
 1. **encode** — a :class:`~repro.snmp.messages.DiscoveryProbeTemplate`
@@ -18,9 +18,10 @@ stages over *windows* of targets:
    off.
 
 Stage boundaries never change outcomes: every RNG draw, usmStats bump,
-reboot, and reply byte happens in exactly the per-target order of the
-legacy loop, so results are byte-identical at every worker count, under
-every fault profile and adversarial personality (property-tested in
+reboot, and reply byte happens in exactly the per-target order of a
+per-probe loop, so results are byte-identical at every worker count,
+under every fault profile and adversarial personality (property-tested
+against a per-probe reference loop in
 ``tests/scanner/test_pipeline_identity.py``).
 
 A non-zero :class:`~repro.scanner.executor.RetryPolicy` makes a target's
@@ -76,10 +77,10 @@ def observe_replies(
 ) -> ScanObservation:
     """Parse the first reply; count the rest (amplification tracking).
 
-    The tuple-based twin of ``ZmapScanner._observe`` — the batch fabric
-    hands back ``(payload, arrival, wire_size)`` entries instead of
-    materialized datagrams — fronted by the structural Report matcher.
-    Output is field-identical for every reply either path can see.
+    The batch fabric hands back ``(payload, arrival, wire_size)``
+    entries instead of materialized datagrams; the structural Report
+    matcher answers the common shape and the full decoder the rest, so
+    output is field-identical to a full decode of every reply.
     """
     payload, arrival, wire_size = replies[0]
     parsed = match_discovery_report(payload)
@@ -141,7 +142,7 @@ def _probe_targets_staged(
     Without retries a probe's inputs (payload, send slot) are independent
     of every other probe's outcome and all RNG draws happen inside
     delivery in target order, so encode-all / inject-all / decode-all is
-    draw-for-draw identical to the interleaved legacy loop.  The timeout
+    draw-for-draw identical to an interleaved per-probe loop.  The timeout
     filter draws nothing, so it batches freely too.
     """
     template = DiscoveryProbeTemplate()
@@ -210,11 +211,11 @@ def _probe_targets_retry(
 
     A retry's send slot and very existence depend on the target's own
     earlier replies, so targets must complete one at a time to keep the
-    RNG stream aligned with the legacy loop.  Control flow below mirrors
-    ``ShardedScanExecutor._probe_targets_legacy`` statement for
-    statement; only the probe encode (template), delivery entry point
-    (hinted single-probe batch) and reply parse (fast matcher) differ —
-    all three byte-identical substitutions.
+    RNG stream aligned with a per-probe loop.  Control flow below is
+    that loop's, statement for statement; only the probe encode
+    (template), delivery entry point (hinted single-probe batch) and
+    reply parse (fast matcher) differ — all three byte-identical
+    substitutions.
     """
     template = DiscoveryProbeTemplate()
     source = params.source

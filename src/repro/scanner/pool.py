@@ -28,11 +28,10 @@ exceptions travel as :data:`MSG_ERROR` messages and re-raise in the
 parent as :class:`WorkerPoolError`.
 
 The pool is agnostic to *how* a shard probes: the runner executes the
-staged batch pipeline (or the legacy per-probe loop — whatever the
-scan's :class:`~repro.scanner.executor.ExecutionOptions` selected), and
-because both produce identical observations in identical batch
-boundaries, the message stream — and the ``ipc_bytes`` accounting — is
-byte-identical either way.
+staged batch pipeline, whose batch boundaries are per-shard chunks of
+``batch_size`` on the serial and pooled paths alike, so the message
+stream — and the ``ipc_bytes`` accounting — does not depend on where a
+shard ran.
 """
 
 from __future__ import annotations

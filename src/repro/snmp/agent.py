@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.asn1 import ber
 from repro.asn1.oid import Oid
-from repro.compat import keyword_only_compat
 from repro.net.packet import Datagram
 from repro.snmp import constants, pdu as pdu_mod
 from repro.snmp.engine_id import EngineId
@@ -114,20 +113,13 @@ class AgentBehavior:
     reboot_after_handles: int = 0
 
 
-@keyword_only_compat(
-    "engine_id", "boot_time", "engine_boots", "behavior", "communities",
-    "users", "mib",
-)
 class SnmpAgent:
     """A single SNMP engine bound to one device.
 
     The agent is deliberately transport-agnostic: :meth:`handle` takes the
     raw UDP payload and the virtual receive time and returns reply
     payloads.  The simulated fabric adapts it to :class:`Datagram`.
-
-    Arguments are keyword-only; the historical positional
-    ``SnmpAgent(engine_id, boot_time, ...)`` form still works but emits
-    a :class:`DeprecationWarning`.
+    Arguments are keyword-only.
     """
 
     def __init__(

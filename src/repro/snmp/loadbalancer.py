@@ -45,19 +45,33 @@ class AgentPool:
         if not self.backends:
             raise ValueError("an AgentPool needs at least one backend")
 
-    def pick(self, datagram: Datagram) -> SnmpAgent:
-        """Select the backend that will see this datagram."""
+    def pick(self, datagram: Datagram, now: float = 0.0) -> SnmpAgent:
+        """Select the backend that will see this datagram, arriving at ``now``.
+
+        Round-robin starts from ``(counter + int(now)) % n``: a real VIP's
+        rotation position depends on every other client's traffic between
+        two of our probes, not only on ours.  Folding the arrival time in
+        models that background traffic deterministically, so a VIP probed
+        once per scan still moves between scans even when the prober
+        restores the counter (the sharded engine snapshots and restores
+        it around each shard) or the pool sees no other probe of ours.
+        """
         if self.policy is BalancingPolicy.SOURCE_HASH:
             # Source-IP affinity (not 5-tuple): one client always lands on
             # the same backend, hiding the pool from a single vantage.
             return self.backends[int(datagram.src) % len(self.backends)]
-        backend = self.backends[self._rr_counter % len(self.backends)]
+        return self._next_round_robin(now)
+
+    def _next_round_robin(self, now: float) -> SnmpAgent:
+        backend = self.backends[
+            (self._rr_counter + int(now)) % len(self.backends)
+        ]
         self._rr_counter += 1
         return backend
 
     def handle_datagram(self, datagram: Datagram, now: float) -> list[bytes]:
         """Fabric adapter mirroring :meth:`SnmpAgent.handle_datagram`."""
-        return self.pick(datagram).handle(datagram.payload, now)
+        return self.pick(datagram, now).handle(datagram.payload, now)
 
     def handle_discovery(
         self,
@@ -71,14 +85,13 @@ class AgentPool:
 
         Backend selection matches :meth:`pick` exactly: ``source`` is the
         probe's source address (what ``datagram.src`` would have been), so
-        source-hash affinity and the round-robin counter advance just as
+        source-hash affinity and the round-robin position advance just as
         they would on the :meth:`handle_datagram` path.
         """
         if self.policy is BalancingPolicy.SOURCE_HASH:
             backend = self.backends[int(source) % len(self.backends)]  # type: ignore[call-overload]
         else:
-            backend = self.backends[self._rr_counter % len(self.backends)]
-            self._rr_counter += 1
+            backend = self._next_round_robin(now)
         return backend.handle_discovery(payload, msg_id, request_id, now, source)
 
     @property

@@ -75,7 +75,7 @@ class TestMidar:
             for d in topo.routers()
             for i in d.ipv4_interfaces
         ]
-        sets = MidarResolver(topo).resolve(candidates)
+        sets = MidarResolver(topology=topo).resolve(candidates)
         ev = evaluate_against_truth(sets, topo.true_alias_sets(4))
         assert ev.precision > 0.9
         assert ev.recall > 0.15  # bounded by responsiveness + counter styles
@@ -86,17 +86,17 @@ class TestMidar:
             if d.ip_id_random and len(d.ipv4_interfaces) >= 2
         )
         candidates = [i.address for i in random_device.ipv4_interfaces]
-        sets = MidarResolver(topo).resolve(candidates)
+        sets = MidarResolver(topology=topo).resolve(candidates)
         assert sets.non_singleton_count == 0
 
     def test_ignores_v6_candidates(self, topo):
         v6 = topo.all_addresses(6)[:5]
-        sets = MidarResolver(topo).resolve(v6)
+        sets = MidarResolver(topology=topo).resolve(v6)
         assert sets.count == 0
 
     def test_all_candidates_accounted_for(self, topo):
         candidates = topo.all_addresses(4)[:200]
-        sets = MidarResolver(topo).resolve(candidates)
+        sets = MidarResolver(topology=topo).resolve(candidates)
         grouped = {a for g in sets.sets for a in g}
         assert grouped == set(candidates)
 
@@ -106,15 +106,15 @@ class TestSpeedtrap:
         candidates = [
             i.address for d in topo.routers() for i in d.ipv6_interfaces
         ]
-        sets = SpeedtrapResolver(topo).resolve(candidates)
+        sets = SpeedtrapResolver(topology=topo).resolve(candidates)
         ev = evaluate_against_truth(sets, topo.true_alias_sets(6))
         assert ev.precision > 0.9
 
     def test_lower_coverage_than_midar(self, topo):
         v4 = [i.address for d in topo.routers() for i in d.ipv4_interfaces]
         v6 = [i.address for d in topo.routers() for i in d.ipv6_interfaces]
-        midar = MidarResolver(topo).resolve(v4)
-        speedtrap = SpeedtrapResolver(topo).resolve(v6)
+        midar = MidarResolver(topology=topo).resolve(v4)
+        speedtrap = SpeedtrapResolver(topology=topo).resolve(v6)
         if v6 and v4:
             midar_rate = midar.addresses_in_non_singletons / max(1, len(v4))
             speed_rate = speedtrap.addresses_in_non_singletons / max(1, len(v6))

@@ -15,7 +15,7 @@ def topo():
 
 @pytest.fixture(scope="module")
 def oracle(topo):
-    return IcmpRateLimitOracle(topo)
+    return IcmpRateLimitOracle(topology=topo)
 
 
 def multi_iface_router(topo, oracle, min_ifaces=2):

@@ -1,11 +1,10 @@
 """The consolidated :class:`ExecutionOptions` surface on the facade.
 
-One blessed object now carries every execution knob; the sixteen-odd
-flat keyword arguments survive only as deprecated aliases.  These tests
-pin the migration contract: options-first construction is silent, flat
-kwargs warn by name, mixing the two is an error, per-round overrides
-work, and the legacy ``selects_executor`` semantics (fault shaping alone
-does not engage the sharded engine) are preserved bit for bit.
+One blessed object carries every execution knob; the flat keyword
+aliases that predated it are gone.  These tests pin the contract:
+options construction is silent, flat execution kwargs are rejected,
+per-round overrides work, and every campaign — whatever its options —
+runs the one engine and reports its metrics.
 """
 
 from __future__ import annotations
@@ -17,17 +16,23 @@ import pytest
 import repro
 from repro.api import ExecutionOptions, Session
 from repro.scanner import ExecutionOptions as scanner_reexport
-from repro.scanner.campaign import ScanCampaign
+from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
 from repro.scanner.executor import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_NUM_SHARDS,
     DEFAULT_WINDOW,
-    RetryPolicy,
 )
+from repro.scanner.metrics import ExecutorMetrics
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import TopologyGenerator
 
 SCALE = 4000.0
+
+#: The pre-ExecutionOptions flat aliases, retired from the facade.
+RETIRED_FLAT_KWARGS = (
+    "workers", "num_shards", "batch_size", "loss_probability",
+    "fault_profile", "retry", "profile",
+)
 
 
 def test_options_object_is_the_facade_export():
@@ -45,40 +50,25 @@ def test_session_accepts_options_silently():
     assert session.options.batch_size == 8
 
 
-def test_flat_kwargs_still_work_but_warn_by_name():
-    with pytest.warns(DeprecationWarning, match=r"workers=.*num_shards="):
-        session = Session(scale=SCALE, workers=1, num_shards=2)
-    assert session.options.workers == 1
-    assert session.options.num_shards == 2
-
-
 def test_mixing_options_and_flat_kwargs_is_an_error():
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="workers"):
         Session(scale=SCALE, options=ExecutionOptions(workers=1), workers=2)
+    for name in RETIRED_FLAT_KWARGS:
+        with pytest.raises(TypeError, match=name):
+            Session(scale=SCALE, **{name: None})
 
 
 def test_campaign_rejects_mixed_styles_too():
     topology = TopologyGenerator(
         config=TopologyConfig(seed=9, scale_divisor=SCALE)
     ).build()
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="workers"):
         ScanCampaign(
             topology=topology, options=ExecutionOptions(workers=1), workers=2
         )
-
-
-def test_selects_executor_mirrors_legacy_flat_semantics():
-    # Geometry / pipeline / retry / profiling knobs engage the sharded
-    # engine; fault shaping alone never did and still must not.
-    assert not ExecutionOptions().selects_executor
-    assert not ExecutionOptions(fault_profile="chaos").selects_executor
-    assert not ExecutionOptions(loss_probability=0.5).selects_executor
-    for knob in (
-        dict(workers=1), dict(num_shards=2), dict(batch_size=4),
-        dict(window=8), dict(pipeline=False), dict(retry=RetryPolicy()),
-        dict(profile=True),
-    ):
-        assert ExecutionOptions(**knob).selects_executor, knob
+    for name in RETIRED_FLAT_KWARGS:
+        with pytest.raises(TypeError, match=name):
+            ScanCampaign(topology=topology, **{name: None})
 
 
 def test_executor_config_fills_documented_defaults():
@@ -87,11 +77,10 @@ def test_executor_config_fills_documented_defaults():
     assert config.num_shards == DEFAULT_NUM_SHARDS
     assert config.batch_size == DEFAULT_BATCH_SIZE
     assert config.window == DEFAULT_WINDOW
-    assert config.pipeline is True
     assert config.seed == 123
 
 
-def test_fault_profile_alone_runs_the_single_pass_scanner():
+def test_fault_profile_alone_reports_executor_metrics():
     topology = TopologyGenerator(
         config=TopologyConfig(seed=9, scale_divisor=SCALE)
     ).build()
@@ -99,7 +88,9 @@ def test_fault_profile_alone_runs_the_single_pass_scanner():
         topology=topology, options=ExecutionOptions(fault_profile="conformance")
     )
     result = campaign.run()
-    assert result.metrics == {}  # legacy scanner path: no executor metrics
+    assert set(result.metrics) == set(SCAN_LABELS)
+    assert all(isinstance(m, ExecutorMetrics) for m in result.metrics.values())
+    assert sum(m.faults_injected for m in result.metrics.values()) > 0
 
 
 def test_run_campaign_accepts_a_per_round_override():
@@ -107,8 +98,9 @@ def test_run_campaign_accepts_a_per_round_override():
     result = session.run_campaign(
         options=ExecutionOptions(workers=1, num_shards=2)
     )
-    assert result.metrics  # override engaged the sharded engine this round
-    assert not session.options.selects_executor  # session default untouched
+    # The override's geometry ran this round; the session default is untouched.
+    assert all(m.num_shards == 2 for m in result.metrics.values())
+    assert session.options == ExecutionOptions()
 
 
 def test_session_and_override_produce_identical_observations():

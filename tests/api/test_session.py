@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.api import Session
+from repro.api import ExecutionOptions, Session
+from repro.scanner.metrics import ExecutorMetrics
 
 
 @pytest.fixture(scope="module")
 def session():
-    return Session(scale=1000, seed=21, workers=1)
+    return Session(scale=1000, seed=21, options=ExecutionOptions(workers=1))
 
 
 class TestChaining:
@@ -19,7 +20,7 @@ class TestChaining:
         assert session.campaign is campaign
 
     def test_accessors_run_prerequisites_lazily(self):
-        lazy = Session(scale=1000, seed=21, workers=1)
+        lazy = Session(scale=1000, seed=21, options=ExecutionOptions(workers=1))
         assert lazy._campaign is None
         records = lazy.valid_v4
         assert records
@@ -59,14 +60,18 @@ class TestResults:
 
 class TestEngines:
     def test_workers_do_not_change_results(self, session):
-        parallel = Session(scale=1000, seed=21, workers=4)
+        parallel = Session(scale=1000, seed=21, options=ExecutionOptions(workers=4))
         assert parallel.campaign.scans["v4-1"].observations == \
             session.campaign.scans["v4-1"].observations
         assert parallel.valid_v4 == session.valid_v4
 
-    def test_legacy_engine_by_default(self):
-        legacy = Session(scale=1000, seed=21)
-        assert legacy.metrics == {}
+    def test_default_session_reports_executor_metrics(self):
+        default = Session(scale=1000, seed=21)
+        assert set(default.metrics) == {"v6-1", "v6-2", "v4-1", "v4-2"}
+        assert all(
+            isinstance(m, ExecutorMetrics) and m.probes_sent > 0
+            for m in default.metrics.values()
+        )
 
     def test_stream_scans_yields_all_four(self):
         streaming = Session(scale=1000, seed=21)

@@ -50,7 +50,7 @@ import pytest
 from repro.alias.snmpv3 import resolve_aliases
 from repro.pipeline.filters import FilterPipeline
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
-from repro.scanner.executor import RetryPolicy
+from repro.scanner.executor import ExecutionOptions, RetryPolicy
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
 
@@ -66,7 +66,9 @@ RETRY = RetryPolicy(max_retries=6, timeout=2.0)
 def _run_campaign(**kwargs):
     config = TopologyConfig.tiny(seed=SEED)
     topology = build_topology(config)
-    return ScanCampaign(topology=topology, config=config, **kwargs).run()
+    return ScanCampaign(
+        topology=topology, config=config, options=ExecutionOptions(**kwargs)
+    ).run()
 
 
 @pytest.fixture(scope="module")

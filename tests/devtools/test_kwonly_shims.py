@@ -1,9 +1,9 @@
-"""Deprecation shims on the six constructors converted to keyword-only.
+"""The constructors converted to keyword-only, after their shims retired.
 
-Positional construction keeps working for one release behind a
-``DeprecationWarning`` (the PR-1 facade migration idiom); keyword
+The positional forms lived for a deprecation cycle behind a
+``DeprecationWarning``; they now raise ``TypeError``, and keyword
 construction is silent.  API001 enforces the keyword-only shape
-statically — these tests pin the runtime behaviour of the shims.
+statically — these tests pin the runtime behaviour.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ def agent():
     return SnmpAgent(engine_id=EngineId(b"\x80\x00\x00\x09\x03\x02\x11\x22\x33\x44\x55"))
 
 
-def assert_warns_positional(factory):
-    with pytest.warns(DeprecationWarning, match="positional"):
-        return factory()
+def assert_rejects_positional(factory):
+    with pytest.raises(TypeError, match="positional"):
+        factory()
 
 
 def assert_silent(factory):
@@ -45,20 +45,20 @@ def assert_silent(factory):
 
 def test_topology_generator_shim():
     config = TopologyConfig.paper_scale(divisor=3000, seed=11)
-    legacy = assert_warns_positional(lambda: TopologyGenerator(config))
+    assert_rejects_positional(lambda: TopologyGenerator(config))
     modern = assert_silent(lambda: TopologyGenerator(config=config))
-    assert legacy.config is modern.config is config
+    assert modern.config is config
 
 
 def test_snmp_agent_shim():
     engine_id = EngineId(b"\x80\x00\x00\x09\x03\x02\x11\x22\x33\x44\x55")
-    legacy = assert_warns_positional(lambda: SnmpAgent(engine_id, 5.0, 3))
+    assert_rejects_positional(lambda: SnmpAgent(engine_id, 5.0, 3))
     modern = assert_silent(
         lambda: SnmpAgent(engine_id=engine_id, boot_time=5.0, engine_boots=3)
     )
-    assert legacy.engine_id == modern.engine_id == engine_id
-    assert legacy.boot_time == modern.boot_time == 5.0
-    assert legacy.engine_boots == modern.engine_boots == 3
+    assert modern.engine_id == engine_id
+    assert modern.boot_time == 5.0
+    assert modern.engine_boots == 3
 
 
 def test_snmp_agent_requires_engine_id():
@@ -67,24 +67,24 @@ def test_snmp_agent_requires_engine_id():
 
 
 def test_snmp_client_shim(agent):
-    legacy = assert_warns_positional(lambda: SnmpClient(agent))
+    assert_rejects_positional(lambda: SnmpClient(agent))
     modern = assert_silent(lambda: SnmpClient(agent=agent))
-    assert legacy._agent is modern._agent is agent
-    with pytest.raises(TypeError), pytest.warns(DeprecationWarning):
+    assert modern._agent is agent
+    with pytest.raises(TypeError):
         SnmpClient(agent, agent=agent)
 
 
 def test_alias_resolver_shims(topology):
     for cls in (MidarResolver, SpeedtrapResolver, IcmpRateLimitOracle):
-        legacy = assert_warns_positional(lambda: cls(topology))
+        assert_rejects_positional(lambda: cls(topology))
         modern = assert_silent(lambda: cls(topology=topology))
-        assert type(legacy) is type(modern)
+        assert type(modern) is cls
 
 
 def test_shim_rejects_ambiguous_and_excess_arguments(topology):
-    with pytest.raises(TypeError), pytest.warns(DeprecationWarning):
+    with pytest.raises(TypeError):
         MidarResolver(topology, topology=topology)
-    with pytest.raises(TypeError), pytest.warns(DeprecationWarning):
+    with pytest.raises(TypeError):
         MidarResolver(topology, 99, "extra")
-    with pytest.warns(DeprecationWarning):
-        MidarResolver(topology, 99)  # (topology, seed) still maps through
+    with pytest.raises(TypeError):
+        MidarResolver(topology, 99)  # (topology, seed) no longer maps through

@@ -16,10 +16,7 @@ def findings(source: str, module: str = "repro.api") -> list[str]:
 FROZEN_SESSION = """
 class Session:
     def __init__(self, *, scale=300.0, seed=2021, config=None, options=None,
-                 workers=None, num_shards=None, batch_size=None,
-                 loss_probability=None, fault_profile=None, retry=None,
-                 profile=False, reboot_threshold=None, skip=frozenset(),
-                 store=None):
+                 reboot_threshold=None, skip=frozenset(), store=None):
         pass
 
     def run_campaign(self, *, round_id=None, options=None):
@@ -34,6 +31,14 @@ def test_grandfathered_surface_is_clean():
 def test_new_flat_kwarg_on_init_is_flagged():
     grown = FROZEN_SESSION.replace("store=None):", "store=None, turbo=False):")
     assert findings(grown) == ["API002"]
+
+
+def test_retired_flat_execution_kwargs_are_flagged():
+    """The pre-ExecutionOptions aliases are gone and may not come back."""
+    for name in ("workers", "num_shards", "batch_size", "loss_probability",
+                 "fault_profile", "retry", "profile"):
+        grown = FROZEN_SESSION.replace("store=None):", f"store=None, {name}=None):")
+        assert findings(grown) == ["API002"], name
 
 
 def test_new_flat_kwarg_on_run_campaign_is_flagged():

@@ -5,10 +5,12 @@ import ipaddress
 import pytest
 
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
+from repro.scanner.executor import ExecutionOptions
+from repro.scanner.metrics import ExecutorMetrics
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.constants import SNMP_PORT
 from repro.snmp.engine_id import EngineId
-from repro.snmp.loadbalancer import AgentPool
+from repro.snmp.loadbalancer import AgentPool, BalancingPolicy
 from repro.topology import timeline
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import build_topology
@@ -100,9 +102,12 @@ class TestCampaign:
         }
         assert changed
 
-    def test_metrics_empty_under_legacy_engine(self, campaign_result):
+    def test_metrics_cover_all_four_scans(self, campaign_result):
         __, result = campaign_result
-        assert result.metrics == {}
+        assert set(result.metrics) == set(SCAN_LABELS)
+        for label, metrics in result.metrics.items():
+            assert isinstance(metrics, ExecutorMetrics)
+            assert metrics.probes_sent == result.scans[label].targets_probed
 
     def test_open_router_interfaces_respond(self, campaign_result):
         topo, result = campaign_result
@@ -125,7 +130,7 @@ class TestCampaign:
 
 def _pooled_device(device_id: int, address: str) -> Device:
     backends = [
-        SnmpAgent(EngineId(bytes([0x80, 0, 0, 9, 3, 0, 0, 0, device_id, n])))
+        SnmpAgent(engine_id=EngineId(bytes([0x80, 0, 0, 9, 3, 0, 0, 0, device_id, n])))
         for n in (1, 2)
     ]
     return Device(
@@ -167,18 +172,45 @@ class TestChurnRebinding:
             assert handler.__self__ is devices[owner].agent_pool
 
 
-class TestDeprecatedConstructors:
-    def test_positional_campaign_warns_but_works(self):
-        cfg = TopologyConfig.tiny(seed=21)
-        topo = build_topology(cfg)
-        with pytest.warns(DeprecationWarning, match="positional ScanCampaign"):
-            campaign = ScanCampaign(topo, cfg)
-        assert campaign.topology is topo
-        assert campaign.config is cfg
 
-    def test_positional_and_keyword_topology_conflict(self):
-        cfg = TopologyConfig.tiny(seed=21)
+class TestRoundRobinVipsAcrossScans:
+    """Regression: the sharded engine restores each pool's round-robin
+    counter after every shard, so a VIP probed once per scan used to
+    answer scan 2 from scan 1's backend — no VIP ever changed engine ID
+    between the paired scans.  The backend position now also moves with
+    arrival time, standing in for other clients' traffic."""
+
+    @staticmethod
+    def _flips(workers: int) -> "tuple[int, int]":
+        cfg = TopologyConfig.paper_scale(divisor=300, seed=2021)
         topo = build_topology(cfg)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ScanCampaign(topo, topology=topo, config=cfg)
+        result = ScanCampaign(
+            topology=topo, config=cfg, options=ExecutionOptions(workers=workers)
+        ).run()
+        scan1, scan2 = result.scan_pair(4)
+        vips = {
+            interface.address
+            for device in topo.devices.values()
+            if device.agent_pool is not None
+            and device.agent_pool.policy is BalancingPolicy.ROUND_ROBIN
+            for interface in device.interfaces
+            if interface.address.version == 4
+        }
+        both = [
+            address for address in vips
+            if address in scan1.observations and address in scan2.observations
+            and scan1.observations[address].engine_id is not None
+            and scan2.observations[address].engine_id is not None
+        ]
+        flipped = sum(
+            scan1.observations[a].engine_id != scan2.observations[a].engine_id
+            for a in both
+        )
+        return flipped, len(both)
+
+    def test_round_robin_vips_change_engine_id_between_scans(self):
+        serial = self._flips(workers=1)
+        flipped, answered = serial
+        assert answered >= 10
+        assert flipped * 3 >= answered, serial
+        assert self._flips(workers=2) == serial

@@ -7,6 +7,7 @@ import pytest
 from repro.net.transport import NetworkFabric
 from repro.scanner.campaign import SCAN_LABELS, ScanCampaign
 from repro.scanner.executor import (
+    ExecutionOptions,
     ExecutorConfig,
     RetryPolicy,
     ShardedScanExecutor,
@@ -22,7 +23,9 @@ from repro.topology.generator import build_topology
 def _run_campaign(**kwargs):
     cfg = TopologyConfig.tiny(seed=21)
     topo = build_topology(cfg)
-    campaign = ScanCampaign(topology=topo, config=cfg, **kwargs)
+    campaign = ScanCampaign(
+        topology=topo, config=cfg, options=ExecutionOptions(**kwargs)
+    )
     return topo, campaign
 
 

@@ -1,14 +1,17 @@
-"""Legacy-vs-batch byte identity for the staged scan pipeline.
+"""Per-probe-vs-batch byte identity for the staged scan pipeline.
 
-The ``ExecutorConfig.pipeline`` switch may never change a single output
-bit: every observation (address, recv time, engine triplet, reply count,
-wire bytes), every scan aggregate and every shard counter must match the
-historical per-probe loop — at every worker count, under every fault
-profile, across the generated topology's adversarial personalities, with
-and without retry policies, at every window geometry.
+Batching may never change a single output bit: every observation
+(address, recv time, engine triplet, reply count, wire bytes), every scan
+aggregate and every shard counter must match the per-probe reference
+loop in :mod:`tests.scanner.oracle` — at every worker count, under every
+fault profile, across the generated topology's adversarial
+personalities, with and without retry policies, at every window
+geometry.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.scanner.campaign import ScanCampaign
 from repro.scanner.executor import ExecutionOptions, RetryPolicy
 from repro.topology.config import TopologyConfig
 from repro.topology.generator import TopologyGenerator
+from tests.scanner.oracle import per_probe_loop
 
 #: Small but adversarial-rich world: chaos-profile sweeps still hit
 #: garbage/malformed/amplifying/rebooting agents and load balancers.
@@ -42,12 +46,12 @@ def run_campaign(pipeline: bool, *, window=None, workers=None,
             num_shards=num_shards,
             batch_size=batch_size,
             window=window,
-            pipeline=pipeline,
             fault_profile=fault_profile,
             retry=retry,
         ),
     )
-    result = campaign.run()
+    with nullcontext() if pipeline else per_probe_loop():
+        result = campaign.run()
     fingerprint = []
     for label in sorted(result.scans):
         scan = result.scans[label]
@@ -80,9 +84,9 @@ def run_campaign(pipeline: bool, *, window=None, workers=None,
 
 def assert_identical(**case):
     batch_fp, batch_counters = run_campaign(True, **case)
-    legacy_fp, legacy_counters = run_campaign(False, **case)
-    assert batch_fp == legacy_fp
-    assert batch_counters == legacy_counters
+    oracle_fp, oracle_counters = run_campaign(False, **case)
+    assert batch_fp == oracle_fp
+    assert batch_counters == oracle_counters
 
 
 @pytest.mark.parametrize(
@@ -102,16 +106,16 @@ def test_identity_with_retries():
 
 def test_identity_with_retries_and_breaker_under_chaos():
     """Chaos loss rates trip the circuit breaker mid-shard; the per-target
-    retry path must account streaks and trips exactly like the legacy loop."""
+    retry path must account streaks and trips exactly like the per-probe loop."""
     retry = RetryPolicy(max_retries=2, timeout=0.5, breaker_threshold=2)
     batch_fp, batch_counters = run_campaign(
         True, fault_profile="chaos", retry=retry
     )
-    legacy_fp, legacy_counters = run_campaign(
+    oracle_fp, oracle_counters = run_campaign(
         False, fault_profile="chaos", retry=retry
     )
-    assert batch_fp == legacy_fp
-    assert batch_counters == legacy_counters
+    assert batch_fp == oracle_fp
+    assert batch_counters == oracle_counters
     tripped = sum(
         shard[COUNTER_FIELDS.index("breaker_tripped")]
         for shards in batch_counters.values()
@@ -130,15 +134,3 @@ def test_identity_is_window_invariant(window):
 def test_identity_with_batch_size_one():
     """batch_size=1 streams observations one per IPC batch."""
     assert_identical(fault_profile="chaos", batch_size=1)
-
-
-def test_pipeline_switch_defaults_on():
-    """An options object with pipeline unset runs the batch pipeline."""
-    topology = TopologyGenerator(
-        config=TopologyConfig(seed=1177, scale_divisor=DIVISOR)
-    ).build()
-    campaign = ScanCampaign(
-        topology=topology, options=ExecutionOptions(workers=1)
-    )
-    assert campaign._executor_config.pipeline is True
-    assert campaign._executor_config.window >= 1

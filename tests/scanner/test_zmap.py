@@ -1,12 +1,17 @@
-"""Unit tests for the ZMap-style scanner."""
+"""The ZMap-style scan contract, held by the one scan engine.
+
+One probe per target, a seeded per-label permutation, a fixed virtual
+probe rate, and every reply captured — malformed ones included — as an
+observation.  :meth:`ShardedScanExecutor.scan` is the engine under test.
+"""
 
 import ipaddress
 
 import pytest
 
 from repro.net.transport import LinkProfile, NetworkFabric
+from repro.scanner.executor import ShardedScanExecutor
 from repro.scanner.records import ScanObservation, ScanResult
-from repro.scanner.zmap import ZmapConfig, ZmapScanner
 from repro.snmp.agent import AgentBehavior, SnmpAgent
 from repro.snmp.constants import SNMP_PORT
 from repro.snmp.engine_id import EngineId
@@ -33,10 +38,14 @@ def bind(fabric, address, agent):
     return addr
 
 
+def scanner_for(fabric):
+    return ShardedScanExecutor(fabric=fabric, devices={})
+
+
 class TestScan:
     def test_responsive_target_observed(self, fabric):
         addr = bind(fabric, "192.0.2.1", make_agent())
-        scanner = ZmapScanner(fabric=fabric)
+        scanner = scanner_for(fabric)
         result = scanner.scan([addr], label="t", ip_version=4, start_time=100.0)
         assert result.responsive_count == 1
         obs = result.observations[addr]
@@ -45,7 +54,7 @@ class TestScan:
         assert obs.engine_id.raw == make_agent().engine_id.raw
 
     def test_silent_target_not_observed(self, fabric):
-        scanner = ZmapScanner(fabric=fabric)
+        scanner = scanner_for(fabric)
         target = ipaddress.ip_address("192.0.2.99")
         result = scanner.scan([target], label="t", ip_version=4, start_time=0.0)
         assert result.responsive_count == 0
@@ -53,19 +62,22 @@ class TestScan:
 
     def test_one_probe_per_target(self, fabric):
         addr = bind(fabric, "192.0.2.1", make_agent())
-        scanner = ZmapScanner(fabric=fabric)
-        scanner.scan([addr], label="t", ip_version=4, start_time=0.0)
-        assert fabric.stats.injected == 1
+        execution = scanner_for(fabric).execute(
+            [addr], label="t", ip_version=4, start_time=0.0
+        )
+        result = execution.result()
+        assert execution.metrics.probes_sent == 1
+        assert result.targets_probed == 1
 
     def test_rate_controls_virtual_duration(self, fabric):
         targets = [ipaddress.ip_address(f"192.0.2.{i}") for i in range(1, 101)]
-        scanner = ZmapScanner(fabric=fabric)
+        scanner = scanner_for(fabric)
         result = scanner.scan(targets, label="t", ip_version=4, start_time=0.0,
                               rate_pps=50.0)
         assert result.finished_at == pytest.approx(100 / 50.0)
 
     def test_family_mismatch_rejected(self, fabric):
-        scanner = ZmapScanner(fabric=fabric)
+        scanner = scanner_for(fabric)
         with pytest.raises(ValueError):
             scanner.scan(
                 [ipaddress.ip_address("2001:db8::1")],
@@ -75,14 +87,14 @@ class TestScan:
     def test_amplifier_counted(self, fabric):
         agent = make_agent(behavior=AgentBehavior(amplification_count=7))
         addr = bind(fabric, "192.0.2.1", agent)
-        result = ZmapScanner(fabric=fabric).scan([addr], label="t", ip_version=4, start_time=0.0)
+        result = scanner_for(fabric).scan([addr], label="t", ip_version=4, start_time=0.0)
         assert result.multi_responders[addr] == 7
         assert result.observations[addr].response_count == 7
 
     def test_malformed_reply_recorded_without_engine_id(self, fabric):
         agent = make_agent(behavior=AgentBehavior(malformed=True))
         addr = bind(fabric, "192.0.2.1", agent)
-        result = ZmapScanner(fabric=fabric).scan([addr], label="t", ip_version=4, start_time=0.0)
+        result = scanner_for(fabric).scan([addr], label="t", ip_version=4, start_time=0.0)
         obs = result.observations[addr]
         assert obs.engine_id is None
         assert not obs.parsed
@@ -91,12 +103,12 @@ class TestScan:
         targets = [ipaddress.ip_address(f"192.0.2.{i}") for i in range(1, 50)]
         for addr in targets:
             bind(fabric, str(addr), make_agent(mac=f"00:00:0c:00:01:{int(addr) % 250:02x}"))
-        scanner = ZmapScanner(fabric=fabric)
+        scanner = scanner_for(fabric)
         a = scanner.scan(targets, label="x", ip_version=4, start_time=0.0)
         fabric2 = NetworkFabric(seed=4, default_profile=LinkProfile(loss_probability=0.0))
         for addr in targets:
             bind(fabric2, str(addr), make_agent(mac=f"00:00:0c:00:01:{int(addr) % 250:02x}"))
-        b = ZmapScanner(fabric=fabric2).scan(targets, label="x", ip_version=4, start_time=0.0)
+        b = scanner_for(fabric2).scan(targets, label="x", ip_version=4, start_time=0.0)
         assert {a: o.recv_time for a, o in a.observations.items()} == {
             a: o.recv_time for a, o in b.observations.items()
         }
@@ -104,7 +116,7 @@ class TestScan:
     def test_ipv6_scan(self, fabric):
         addr = ipaddress.ip_address("2001:db8::5")
         fabric.bind(addr, "udp", SNMP_PORT, make_agent().handle_datagram)
-        result = ZmapScanner(fabric=fabric).scan([addr], label="v6", ip_version=6, start_time=0.0)
+        result = scanner_for(fabric).scan([addr], label="v6", ip_version=6, start_time=0.0)
         assert result.responsive_count == 1
 
 
@@ -138,17 +150,3 @@ class TestScanResult:
         result.add(self.make_obs(address="192.0.2.2", engine_id=None))
         assert result.unique_engine_ids() == 1
         assert result.responsive_count == 2
-
-
-class TestDeprecatedConstructor:
-    def test_positional_scanner_warns_but_works(self, fabric):
-        config = ZmapConfig()
-        with pytest.warns(DeprecationWarning, match="positional ZmapScanner"):
-            scanner = ZmapScanner(fabric, config)
-        assert scanner.fabric is fabric
-        assert scanner.config is config
-
-    def test_positional_and_keyword_fabric_conflict(self, fabric):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ZmapScanner(fabric, fabric=fabric)

@@ -30,7 +30,7 @@ def make_agent(mac="00:00:0c:0a:0b:01"):
 
 def capture_authenticated_exchange(agent):
     """Sniff a legitimate manager's authenticated GET off the wire."""
-    client = SnmpClient(agent)
+    client = SnmpClient(agent=agent)
     discovery = client.discover(now=50.0)
     # Rebuild the signed request exactly as the client sends it.
     from repro.snmp import constants, pdu as pdu_mod
@@ -79,7 +79,7 @@ class TestForgeHelper:
         from repro.snmp.bruteforce import forge_authenticated_get
         from repro.snmp.messages import SnmpV3Message
 
-        discovery = SnmpClient(agent).discover(now=10.0)
+        discovery = SnmpClient(agent=agent).discover(now=10.0)
         wire = forge_authenticated_get(
             engine_id=discovery.engine_id,
             engine_boots=discovery.engine_boots,
@@ -153,7 +153,7 @@ class TestBruteForce:
             CapturedMessage.from_wire(wire), ["x", PASSWORD]
         )
         recovered = UsmUser(b"monitor", AuthProtocol.HMAC_SHA1_96, result.password)
-        value = SnmpClient(agent).get_v3_auth(recovered, OID_SYS_DESCR, now=60.0)
+        value = SnmpClient(agent=agent).get_v3_auth(recovered, OID_SYS_DESCR, now=60.0)
         assert value == b"router"
 
     def test_md5_protocol_supported(self):

@@ -16,7 +16,7 @@ from repro.asn1.oid import Oid
 from repro.net.mac import MacAddress
 from repro.net.packet import Datagram
 from repro.net.transport import LinkProfile, NetworkFabric
-from repro.scanner.zmap import ZmapScanner
+from repro.scanner.executor import ShardedScanExecutor
 from repro.snmp.agent import AgentBehavior, SnmpAgent, UsmUser
 from repro.snmp.client import SnmpClient
 from repro.snmp.engine_id import EngineId
@@ -43,26 +43,26 @@ AUTH_USER = UsmUser(b"u", AuthProtocol.HMAC_SHA1_96, "some-password")
 
 class TestGarbageReports:
     def test_discovery_returns_none(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.discover(now=10.0) is None
 
     def test_v2c_get_returns_none(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.get_v2c(b"public", SYS_DESCR) is None
 
     def test_v3_noauth_returns_nothing(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.get_v3_noauth(b"u", SYS_DESCR) == (None, None)
 
     def test_v3_auth_returns_none(self):
-        client = SnmpClient(make_agent(garbage_reports=True))
+        client = SnmpClient(agent=make_agent(garbage_reports=True))
         assert client.get_v3_auth(AUTH_USER, SYS_DESCR) is None
 
     def test_garbage_is_not_silence(self):
         """The reply arrives on the wire — it is garbage, not a timeout."""
         agent = make_agent(garbage_reports=True)
         replies = agent.handle(
-            SnmpClient(make_agent()).discover(now=0.0) and b"" or b"", now=0.0
+            SnmpClient(agent=make_agent()).discover(now=0.0) and b"" or b"", now=0.0
         )
         assert replies == []  # empty payload is ignored, sanity check
         from repro.snmp.messages import build_discovery_probe
@@ -71,28 +71,27 @@ class TestGarbageReports:
         assert len(replies) == 1 and len(replies[0]) > 0
 
     def test_scanner_observe_counts_unparsed(self):
-        """ZmapScanner._observe yields an engine-id-less observation."""
+        """A garbage Report becomes an engine-id-less observation."""
         agent = make_agent(garbage_reports=True)
         fabric = NetworkFabric(seed=1, default_profile=LinkProfile())
         fabric.bind(TARGET, "udp", 161, agent.handle_datagram)
-        from repro.snmp.messages import encode_discovery_probe
-
-        probe = Datagram(PROBER, TARGET, 40000, 161, encode_discovery_probe(1))
-        replies = fabric.inject(probe, now=0.0)
-        observation = ZmapScanner._observe(TARGET, replies)
+        scan = ShardedScanExecutor(fabric=fabric, devices={}).scan(
+            [TARGET], label="t", ip_version=4, start_time=0.0
+        )
+        observation = scan.observations[TARGET]
         assert observation.engine_id is None
         assert observation.response_count == 1
 
 
 class TestOddEngineIds:
     def test_oversized_engine_id_disclosed(self):
-        client = SnmpClient(make_agent(engine_id_pad_to=64))
+        client = SnmpClient(agent=make_agent(engine_id_pad_to=64))
         result = client.discover(now=5.0)
         assert result is not None
         assert len(result.engine_id) == 64
 
     def test_undersized_engine_id_disclosed(self):
-        client = SnmpClient(make_agent(engine_id_pad_to=3))
+        client = SnmpClient(agent=make_agent(engine_id_pad_to=3))
         result = client.discover(now=5.0)
         assert result is not None
         assert len(result.engine_id) == 3
@@ -100,7 +99,7 @@ class TestOddEngineIds:
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=200))
     def test_any_pad_length_survives_full_exchange(self, pad_to):
-        client = SnmpClient(make_agent(engine_id_pad_to=pad_to))
+        client = SnmpClient(agent=make_agent(engine_id_pad_to=pad_to))
         result = client.discover(now=5.0)
         assert result is not None
         assert len(result.engine_id) == pad_to
@@ -128,7 +127,7 @@ class TestSlowResponder:
 class TestMidScanReboot:
     def test_boots_bump_under_probe_load(self):
         agent = make_agent(reboot_after_handles=3)
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         boots = []
         for i in range(9):
             result = client.discover(now=float(i))
@@ -141,7 +140,7 @@ class TestMidScanReboot:
 
     def test_engine_time_resets_on_reboot(self):
         agent = make_agent(reboot_after_handles=2)
-        client = SnmpClient(agent)
+        client = SnmpClient(agent=agent)
         client.discover(now=100.0)
         result = client.discover(now=100.0)  # second handle triggers reboot
         assert result.engine_time == 0

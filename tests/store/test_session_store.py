@@ -2,23 +2,25 @@
 
 import pytest
 
-from repro.api import Session, Store, StoreQuery
+from repro.api import ExecutionOptions, Session, Store, StoreQuery
+
+SERIAL = ExecutionOptions(workers=1)
 
 
 class TestSessionStore:
     def test_store_accepts_path(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
+        session = Session(scale=1500, seed=5, options=SERIAL,
                           store=tmp_path / "obs")
         assert isinstance(session.store, Store)
         assert (tmp_path / "obs").is_dir()
 
     def test_store_accepts_store_object(self, tmp_path):
         store = Store(root=tmp_path / "obs")
-        session = Session(scale=1500, seed=5, workers=1, store=store)
+        session = Session(scale=1500, seed=5, options=SERIAL, store=store)
         assert session.store is store
 
     def test_run_campaign_auto_ingests(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
+        session = Session(scale=1500, seed=5, options=SERIAL,
                           store=tmp_path / "obs")
         result = session.run_campaign()
         assert session.store is not None
@@ -28,7 +30,7 @@ class TestSessionStore:
             assert rebuilt.observations == scan.observations
 
     def test_repeat_rounds_accumulate(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
+        session = Session(scale=1500, seed=5, options=SERIAL,
                           store=tmp_path / "obs")
         session.run_campaign()
         session.run_campaign()
@@ -36,7 +38,7 @@ class TestSessionStore:
         assert session.store.rounds() == [1, 2, 9]
 
     def test_scan_stage_ingests_when_store_present(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
+        session = Session(scale=1500, seed=5, options=SERIAL,
                           store=tmp_path / "obs")
         session.scan()
         assert session.store.rounds() == [1]
@@ -45,7 +47,7 @@ class TestSessionStore:
         assert session.store.rounds() == [1]
 
     def test_store_query_helper(self, tmp_path):
-        session = Session(scale=1500, seed=5, workers=1,
+        session = Session(scale=1500, seed=5, options=SERIAL,
                           store=tmp_path / "obs")
         session.run_campaign()
         query = session.store_query()
@@ -53,12 +55,12 @@ class TestSessionStore:
         assert query.device_count > 0
 
     def test_store_query_without_store_raises(self):
-        session = Session(scale=1500, seed=5, workers=1)
+        session = Session(scale=1500, seed=5, options=SERIAL)
         with pytest.raises(ValueError, match="store"):
             session.store_query()
 
     def test_no_store_still_works(self):
-        session = Session(scale=1500, seed=5, workers=1)
+        session = Session(scale=1500, seed=5, options=SERIAL)
         assert session.store is None
         assert session.run_campaign().scans
 
