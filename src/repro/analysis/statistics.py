@@ -6,9 +6,9 @@ from small-sample noise.  This module adds:
 
 * **Wilson score intervals** for the proportion claims (share of MAC
   engine IDs, responsive fraction, dominance level fractions);
-* **bootstrap confidence intervals** (via numpy resampling) for
-  arbitrary statistics over per-entity samples (mean alias-set size,
-  median uptime);
+* **bootstrap confidence intervals** (via numpy resampling, imported on
+  first use) for arbitrary statistics over per-entity samples (mean
+  alias-set size, median uptime);
 * a **two-proportion z-test** for comparing fractions across scans or
   configurations (e.g. did a mitigation change responsiveness?).
 """
@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from statistics import NormalDist
+from typing import Any, Callable
 
-import numpy as np
-from scipy import stats as sps
+#: ``1/sqrt(2)`` as a multiplier, the way the Cephes ``ndtr`` scales the
+#: argument of ``erfc``: far-tail p-values then match the reference
+#: values to a few ulps, where dividing by ``sqrt(2)`` drifts by ~1e-13.
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Pr
         raise ValueError(f"invalid counts: {successes}/{trials}")
     if trials == 0:
         return ProportionEstimate(0, 0, 0.0, 1.0)
-    z = float(sps.norm.ppf(0.5 + confidence / 2))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2)
     p = successes / trials
     denom = 1 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
@@ -74,14 +77,21 @@ class BootstrapEstimate:
 
 def bootstrap_interval(
     values: "list[float]",
-    statistic: "Callable[[np.ndarray], float]" = np.mean,
+    statistic: "Callable[[Any], float] | None" = None,
     confidence: float = 0.95,
     resamples: int = 2000,
     seed: int = 7,
 ) -> BootstrapEstimate:
-    """Percentile bootstrap for an arbitrary statistic."""
+    """Percentile bootstrap for an arbitrary statistic (default: the mean).
+
+    ``statistic`` is called on numpy arrays of resampled values.
+    """
     if not values:
         raise ValueError("bootstrap needs at least one value")
+    import numpy as np
+
+    if statistic is None:
+        statistic = np.mean
     rng = np.random.default_rng(seed)
     data = np.asarray(values, dtype=float)
     estimates = np.empty(resamples)
@@ -122,7 +132,8 @@ def compare_proportions(
     if se == 0.0:
         return ProportionComparison(p1=p1, p2=p2, z_score=0.0, p_value=1.0)
     z = (p1 - p2) / se
-    p_value = 2 * float(sps.norm.sf(abs(z)))
+    # erfc, not 1 - cdf: the complement would round far-tail p-values to 0.
+    p_value = math.erfc(abs(z) * _SQRT_HALF)
     return ProportionComparison(p1=p1, p2=p2, z_score=z, p_value=p_value)
 
 

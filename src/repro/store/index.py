@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.fingerprint.vendor import infer_vendor
 from repro.net.addresses import IPAddress
-from repro.snmp.engine_id import EngineId, EngineIdFormat
+from repro.snmp.engine_id import EngineId
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.store.store import Store, StoredObservation
@@ -69,11 +69,9 @@ class StoreIndex:
                 else NO_ENTERPRISE
             )
             index.devices_by_enterprise.setdefault(enterprise, set()).add(raw)
-            if engine_id.format is EngineIdFormat.MAC:
-                oui_vendor = infer_vendor(engine_id).oui_vendor
-                if oui_vendor is not None:
-                    index.devices_by_oui.setdefault(oui_vendor, set()).add(raw)
             verdict = infer_vendor(engine_id)
+            if verdict.oui_vendor is not None:  # set only for MAC-format IDs
+                index.devices_by_oui.setdefault(verdict.oui_vendor, set()).add(raw)
             index.devices_by_vendor.setdefault(verdict.vendor, set()).add(raw)
         return index
 

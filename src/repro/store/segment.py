@@ -12,10 +12,15 @@ can prune without decoding:
   :func:`repro.scanner.wire.encode_observations` blob over a fixed
   number of rows (the writer re-chunks incoming batches, so segment
   bytes never depend on how the executor happened to batch);
-* a compact struct-packed **footer index** — one entry per block with
-  its file offset, byte length, row count and min/max address — plus a
-  trailing footer length and end magic so the index is reachable from
-  the end of the file without scanning.
+* a compact struct-packed **footer index** — a CRC32 checksum, then one
+  entry per block with its file offset, byte length, row count and
+  min/max address — plus a trailing footer length and end magic so the
+  index is reachable from the end of the file without scanning.
+
+Readers fail closed.  The checksum covers the head, the meta and every
+footer field except the block lengths, and is verified on open.  A block
+read with a wrong length fails the wire codec's exact framing, and a
+decoded block must match its footer entry's row count and address range.
 
 Segments are immutable once written: the store never appends to or
 rewrites an existing segment file, it only writes new ones (ingest
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -42,7 +48,7 @@ from repro.scanner.wire import (
 )
 
 #: Segment format version, bumped on any incompatible layout change.
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
 
 #: Rows per columnar block; the writer re-chunks input to this size so
 #: segment bytes are independent of executor batch boundaries.
@@ -55,11 +61,28 @@ _U32 = struct.Struct("<I")
 #: Footer entry: block offset, blob length, row count, min/max address
 #: (16-byte big-endian, IPv4 left-padded) — fixed width for seekability.
 _FOOTER_ENTRY = struct.Struct("<QII16s16s")
+#: Footer head: entry count, then the CRC32 described by :func:`_checksum`.
+_FOOTER_HEAD = struct.Struct("<II")
 _TRAILER = struct.Struct("<I4s")
+_HEAD_SIZE = len(MAGIC) + 1 + _U32.size
 
 
 class SegmentError(ValueError):
     """Raised when a file is not a valid store segment."""
+
+
+def _checksum(head: bytes, entries: bytes) -> int:
+    """CRC32 over the head (magic, version, meta) and the footer entries.
+
+    Each entry's block length (bytes 8-12) is left out: the wire codec
+    rejects a blob cut short or run long, so a wrong length fails when the
+    block is decoded.
+    """
+    crc = zlib.crc32(head)
+    for start in range(0, len(entries), _FOOTER_ENTRY.size):
+        crc = zlib.crc32(entries[start : start + 8], crc)
+        crc = zlib.crc32(entries[start + 12 : start + _FOOTER_ENTRY.size], crc)
+    return crc
 
 
 @dataclass(frozen=True)
@@ -148,14 +171,12 @@ def write_segment(
         raise ValueError(f"block_rows must be positive, got {block_rows}")
     path = Path(path)
     meta_bytes = meta.to_json().encode("utf-8")
+    head = MAGIC + bytes([SEGMENT_VERSION]) + _U32.pack(len(meta_bytes)) + meta_bytes
     entries: list[BlockInfo] = []
     rows_written = 0
     with path.open("wb") as handle:
-        handle.write(MAGIC)
-        handle.write(bytes([SEGMENT_VERSION]))
-        handle.write(_U32.pack(len(meta_bytes)))
-        handle.write(meta_bytes)
-        offset = len(MAGIC) + 1 + _U32.size + len(meta_bytes)
+        handle.write(head)
+        offset = len(head)
         for block in _chunk(observations, block_rows):
             blob = encode_observations(block)
             handle.write(_U32.pack(len(blob)))
@@ -172,15 +193,17 @@ def write_segment(
             )
             offset += _U32.size + len(blob)
             rows_written += len(block)
-        footer = bytearray(_U32.pack(len(entries)))
-        for entry in entries:
-            footer += _FOOTER_ENTRY.pack(
+        packed = b"".join(
+            _FOOTER_ENTRY.pack(
                 entry.offset,
                 entry.length,
                 entry.rows,
                 entry.min_address.to_bytes(16, "big"),
                 entry.max_address.to_bytes(16, "big"),
             )
+            for entry in entries
+        )
+        footer = _FOOTER_HEAD.pack(len(entries), _checksum(head, packed)) + packed
         handle.write(footer)
         handle.write(_TRAILER.pack(len(footer), END_MAGIC))
     return rows_written
@@ -198,8 +221,8 @@ class SegmentReader:
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         with self.path.open("rb") as handle:
-            head = handle.read(len(MAGIC) + 1 + _U32.size)
-            if len(head) < len(MAGIC) + 1 + _U32.size or head[: len(MAGIC)] != MAGIC:
+            head = handle.read(_HEAD_SIZE)
+            if len(head) < _HEAD_SIZE or head[: len(MAGIC)] != MAGIC:
                 raise SegmentError(f"{self.path} is not a store segment")
             version = head[len(MAGIC)]
             if version != SEGMENT_VERSION:
@@ -208,7 +231,7 @@ class SegmentReader:
             meta_bytes = handle.read(meta_len)
             if len(meta_bytes) != meta_len:
                 raise SegmentError("truncated segment meta")
-            self.meta = SegmentMeta.from_json(meta_bytes.decode("utf-8"))
+            head += meta_bytes
             handle.seek(0, 2)
             size = handle.tell()
             if size < _TRAILER.size:
@@ -218,21 +241,26 @@ class SegmentReader:
             if end_magic != END_MAGIC:
                 raise SegmentError("bad segment end magic")
             footer_start = size - _TRAILER.size - footer_len
-            if footer_start < 0:
+            if footer_start < len(head):
                 raise SegmentError("segment footer overruns file")
             handle.seek(footer_start)
             footer = handle.read(footer_len)
-        if len(footer) < _U32.size:
+        if len(footer) < _FOOTER_HEAD.size:
             raise SegmentError("truncated segment footer")
-        (count,) = _U32.unpack_from(footer, 0)
-        expected = _U32.size + count * _FOOTER_ENTRY.size
-        if len(footer) != expected:
+        count, checksum = _FOOTER_HEAD.unpack_from(footer, 0)
+        entries = footer[_FOOTER_HEAD.size :]
+        if len(entries) != count * _FOOTER_ENTRY.size:
             raise SegmentError("segment footer length mismatch")
+        if _checksum(head, entries) != checksum:
+            raise SegmentError("segment checksum mismatch")
+        try:
+            self.meta = SegmentMeta.from_json(meta_bytes.decode("utf-8"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SegmentError(f"bad segment meta: {exc}") from None
         self.blocks: list[BlockInfo] = []
-        for index in range(count):
-            offset, length, rows, lo, hi = _FOOTER_ENTRY.unpack_from(
-                footer, _U32.size + index * _FOOTER_ENTRY.size
-            )
+        for offset, length, rows, lo, hi in _FOOTER_ENTRY.iter_unpack(entries):
+            if offset < len(head) + _U32.size or offset + length > footer_start:
+                raise SegmentError("segment block outside the block region")
             self.blocks.append(
                 BlockInfo(
                     offset=offset,
@@ -254,15 +282,24 @@ class SegmentReader:
             raise SegmentError("truncated segment block")
         return blob
 
+    def _decode_block(self, handle: BinaryIO, block: BlockInfo) -> list[ScanObservation]:
+        rows = decode_observations(self._block_bytes(handle, block))
+        addresses = [int(row.address) for row in rows]
+        if len(rows) != block.rows or (
+            rows and (min(addresses), max(addresses)) != (block.min_address, block.max_address)
+        ):
+            raise SegmentError("segment block disagrees with its footer entry")
+        return rows
+
     def read_block(self, block: BlockInfo) -> list[ScanObservation]:
         with self.path.open("rb") as handle:
-            return decode_observations(self._block_bytes(handle, block))
+            return self._decode_block(handle, block)
 
     def observations(self) -> Iterator[ScanObservation]:
         """All rows in block order, decoded one block at a time."""
         with self.path.open("rb") as handle:
             for block in self.blocks:
-                yield from decode_observations(self._block_bytes(handle, block))
+                yield from self._decode_block(handle, block)
 
     def lookup(self, address: IPAddress) -> "ScanObservation | None":
         """Point lookup: scan each candidate block's raw address column.

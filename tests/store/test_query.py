@@ -4,9 +4,11 @@ import ipaddress
 
 import pytest
 
+from repro.fingerprint.vendor import infer_vendor
 from repro.snmp.engine_id import EngineId
 from repro.store import Store, StoreQuery
-from repro.store.index import NO_ENTERPRISE
+from repro.store import index as index_module
+from repro.store.index import NO_ENTERPRISE, StoreIndex
 
 from tests.store.conftest import make_engine, make_obs
 
@@ -124,6 +126,25 @@ class TestIndexMaintenance:
     def test_rows_indexed_matches_store(self, populated):
         store, __ = populated
         assert store.index().rows_indexed == store.stats()["rows"]
+
+    def test_vendor_inferred_once_per_engine_id(self, populated, monkeypatch):
+        store, __ = populated
+        cisco = EngineId(b"\x80\x00\x00\x09\x03" + bytes.fromhex("00000c000001"))
+        store.ingest_scan(
+            [make_obs("10.0.9.9", 40_000.0, cisco)],
+            round_id=9, label="s-1", ip_version=4, started_at=40_000.0,
+        )
+        calls = []
+
+        def counting(engine_id, registry=None):
+            calls.append(engine_id.raw)
+            return infer_vendor(engine_id, registry)
+
+        monkeypatch.setattr(index_module, "infer_vendor", counting)
+        index = StoreIndex.build(store)
+        assert sorted(calls) == sorted(index.engine_to_ips)
+        assert index.device_count == 4
+        assert index.oui_census() == [("Cisco", 1)]
 
 
 class TestTimelineViews:

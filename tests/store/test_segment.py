@@ -4,8 +4,11 @@ import ipaddress
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.scanner.wire import WireFormatError
+from repro.scanner.records import ScanObservation
+from repro.scanner.wire import WireFormatError, encode_observations
+from repro.snmp.engine_id import EngineId
 from repro.store.segment import (
     SegmentError,
     SegmentMeta,
@@ -177,3 +180,150 @@ class TestCorruption:
     def test_bad_block_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_segment(tmp_path / "x.seg", META, [], block_rows=0)
+
+
+# -- whole-file fuzz -----------------------------------------------------------
+
+_ADDRESSES = st.one_of(
+    st.builds(ipaddress.IPv4Address, st.integers(0, (1 << 32) - 1)),
+    st.builds(ipaddress.IPv6Address, st.integers(0, (1 << 128) - 1)),
+    st.sampled_from([ipaddress.ip_address(a) for a in ("10.0.0.1", "::", "0.0.0.0")]),
+)
+_INTS = st.one_of(st.integers(-3, 300), st.integers(-(1 << 80), 1 << 80))
+_ROWS = st.lists(
+    st.builds(
+        ScanObservation,
+        address=_ADDRESSES,
+        recv_time=st.floats(allow_nan=False, allow_infinity=False),
+        engine_id=st.none() | st.builds(EngineId, st.binary(max_size=24)),
+        engine_boots=_INTS,
+        engine_time=_INTS,
+        response_count=_INTS,
+        wire_bytes=_INTS,
+    ),
+    max_size=20,
+)
+_METAS = st.builds(
+    SegmentMeta,
+    round_id=st.integers(0, 1 << 40),
+    label=st.text(max_size=12),
+    ip_version=st.sampled_from([4, 6]),
+    started_at=st.floats(allow_nan=False, allow_infinity=False),
+    part=st.integers(0, 1000),
+)
+_SEGMENTS = st.tuples(_METAS, _ROWS, st.integers(1, 6))
+
+#: What a corrupt segment may raise: anything else is an escape.
+_CLEAN = (SegmentError, WireFormatError)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.seg"
+
+
+def _write(path, segment):
+    meta, rows, block_rows = segment
+    write_segment(path, meta, rows, block_rows=block_rows)
+    return path.read_bytes()
+
+
+def _regions(data):
+    """Byte ranges of the head, meta, blocks, footer and trailer."""
+    (meta_len,) = struct.unpack_from("<I", data, 5)
+    (footer_len,) = struct.unpack_from("<I", data, len(data) - 8)
+    meta_end = 9 + meta_len
+    footer_start = len(data) - 8 - footer_len
+    return {
+        "head": (0, 9),
+        "meta": (9, meta_end),
+        "blocks": (meta_end, footer_start),
+        "footer": (footer_start, len(data) - 8),
+        "trailer": (len(data) - 8, len(data)),
+    }
+
+
+def _keys(rows):
+    return {o.address for o in rows} | {
+        ipaddress.ip_address("203.0.113.9"),
+        ipaddress.ip_address("2001:db8:ffff::9"),
+    }
+
+
+def _read_everything(path, keys):
+    reader = SegmentReader(path)
+    rows = list(reader.observations())
+    return reader.meta, rows, [reader.lookup(key) for key in keys]
+
+
+def _first(rows, address):
+    return next((o for o in rows if o.address == address), None)
+
+
+def _same_row(a, b):
+    # Through the codec: a flipped receive time can be NaN, never == itself.
+    return (a is None) == (b is None) and (
+        a is None or encode_observations([a]) == encode_observations([b])
+    )
+
+
+def _flip(data, bit):
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+class TestFailClosedFiles:
+    """Truncated or bit-flipped segment files written by ``write_segment``.
+
+    Damage to the head, meta, footer or trailer must surface as a clean
+    corruption error from opening, reading or looking up — never as a
+    ``struct.error``/``IndexError``/``UnicodeDecodeError`` and never as a
+    silently short or wrong answer.  Damage inside block payloads is the
+    wire codec's to catch; where a full read accepts the file, every point
+    lookup must agree with it.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SEGMENTS, st.data())
+    def test_truncation_at_any_offset(self, fuzz_path, segment, data):
+        intact = _write(fuzz_path, segment)
+        cut = data.draw(st.integers(0, len(intact) - 1))
+        fuzz_path.write_bytes(intact[:cut])
+        with pytest.raises(_CLEAN):
+            _read_everything(fuzz_path, _keys(segment[1]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _SEGMENTS,
+        st.sampled_from(["head", "meta", "footer", "trailer"]),
+        st.data(),
+    )
+    def test_framing_bit_flips(self, fuzz_path, segment, region, data):
+        intact = _write(fuzz_path, segment)
+        start, end = _regions(intact)[region]
+        bit = data.draw(st.integers(start * 8, end * 8 - 1))
+        fuzz_path.write_bytes(_flip(intact, bit))
+        with pytest.raises(_CLEAN):
+            _read_everything(fuzz_path, _keys(segment[1]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SEGMENTS.filter(lambda s: s[1]), st.data())
+    def test_block_payload_bit_flips(self, fuzz_path, segment, data):
+        intact = _write(fuzz_path, segment)
+        start, end = _regions(intact)["blocks"]
+        bit = data.draw(st.integers(start * 8, end * 8 - 1))
+        fuzz_path.write_bytes(_flip(intact, bit))
+        keys = _keys(segment[1])
+        reader = SegmentReader(fuzz_path)
+        try:
+            rows = list(reader.observations())
+        except _CLEAN:
+            for key in keys:  # may raise a clean error, nothing else
+                try:
+                    reader.lookup(key)
+                except _CLEAN:
+                    pass
+            return
+        for key in keys | {o.address for o in rows}:
+            assert _same_row(reader.lookup(key), _first(rows, key)), key
