@@ -11,9 +11,16 @@ observations into one struct-packed byte blob instead:
 * a ``float64`` **receive-time** column (exact round-trip),
 * four **adaptive-width integer** columns (boots, time, response count,
   wire bytes) — each column picks the narrowest of ``int8/16/32/64``
-  that holds its min/max, with a length-prefixed bigint escape for the
-  arbitrary-size integers corrupted BER can legitimately decode to,
-* a length-prefixed **engine-ID** column for parsed rows.
+  that holds its min/max, with a bigint escape for the arbitrary-size
+  integers corrupted BER can legitimately decode to,
+* an **engine-ID** column for parsed rows.
+
+The two variable-length columns (bigint escape, engine IDs) share one
+layout: a ``u16`` length per value, then the values back to back.  So
+checking a blob's framing is a constant number of C-level calls per
+column (one ``struct`` unpack of the lengths and one ``sum``), never a
+Python loop over rows, and the ``k``-th value starts ``sum(lengths[:k])``
+bytes into the value run.
 
 Encoding is lossless and order-preserving: ``decode_observations(
 encode_observations(batch)) == batch`` for every observation the scan
@@ -22,11 +29,10 @@ A typical discovery batch shrinks well over 3x versus per-instance
 pickling — measured by ``benchmarks/test_bench_parallel.py``.
 
 :func:`find_observation` answers a point lookup without decoding the
-batch: it walks the same checked layout as :func:`decode_observations`
-(one private framing pass, so both reject the same malformed blobs),
-finds the key in the raw packed address column and builds only the
-matching row.  The store's segment reader serves ``history(ip)`` with
-it.
+batch: it checks the same layout as :func:`decode_observations` (one
+private framing pass, so both reject the same malformed blobs), finds
+the key in the raw packed address column and builds only the matching
+row.  The store's segment reader serves ``history(ip)`` with it.
 
 Blobs are a pure function of observation content and batch boundaries —
 both of which the staged batch pipeline reproduces exactly (executor
@@ -47,10 +53,12 @@ from repro.scanner.records import ScanObservation
 from repro.snmp.engine_id import EngineId
 
 #: Format version byte, bumped on any incompatible layout change.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _FLAG_V6 = 0x01
 _FLAG_PARSED = 0x02
+#: Every valid flag byte; deleting these from a flags column leaves it empty.
+_KNOWN_FLAGS = bytes((0, _FLAG_V6, _FLAG_PARSED, _FLAG_V6 | _FLAG_PARSED))
 
 #: Narrowest-first struct codes for the adaptive integer columns.
 _INT_CODES: tuple[tuple[str, int, int], ...] = (
@@ -59,17 +67,21 @@ _INT_CODES: tuple[tuple[str, int, int], ...] = (
     ("i", -(1 << 31), (1 << 31) - 1),
     ("q", -(1 << 63), (1 << 63) - 1),
 )
-#: Column code for the length-prefixed bigint fallback.
+#: Column code for the variable-length bigint fallback.
 _BIGINT = 0xFF
 #: Byte width of each fixed-width integer column code.
 _INT_WIDTHS = {ord(code): struct.calcsize("<" + code) for code, __, __ in _INT_CODES}
 
 _HEADER = struct.Struct("<BI")
-_U16 = struct.Struct("<H")
 
 
 class WireFormatError(ValueError):
     """Raised when a blob is not a valid observation batch."""
+
+
+def _encode_lengths(values: "list[bytes]") -> bytes:
+    """A variable-length column: the u16 lengths, then the values."""
+    return struct.pack(f"<{len(values)}H", *map(len, values)) + b"".join(values)
 
 
 def _encode_int_column(values: "list[int]") -> bytes:
@@ -83,15 +95,14 @@ def _encode_int_column(values: "list[int]") -> bytes:
                 )
     # Arbitrary-precision escape: corrupted-but-parseable BER replies can
     # decode to integers wider than 64 bits, and they must round-trip.
-    parts = [bytes([_BIGINT])]
+    raws: "list[bytes]" = []
     for value in values:
         if value >= 0:
             width = value.bit_length() // 8 + 1
         else:
             width = (value + 1).bit_length() // 8 + 1
-        parts.append(_U16.pack(width))
-        parts.append(value.to_bytes(width, "big", signed=True))
-    return b"".join(parts)
+        raws.append(value.to_bytes(width, "big", signed=True))
+    return bytes([_BIGINT]) + _encode_lengths(raws)
 
 
 def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
@@ -103,7 +114,7 @@ def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
     times: "list[int]" = []
     responses: "list[int]" = []
     wire_bytes: "list[int]" = []
-    engine_ids = bytearray()
+    engine_ids: "list[bytes]" = []
     for row, obs in enumerate(observations):
         flag = 0
         if obs.address.version == 6:
@@ -113,9 +124,7 @@ def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
             addresses += int(obs.address).to_bytes(4, "big")
         if obs.engine_id is not None:
             flag |= _FLAG_PARSED
-            raw = obs.engine_id.raw
-            engine_ids += _U16.pack(len(raw))
-            engine_ids += raw
+            engine_ids.append(obs.engine_id.raw)
         flags[row] = flag
         boots.append(obs.engine_boots)
         times.append(obs.engine_time)
@@ -131,25 +140,26 @@ def encode_observations(observations: "Sequence[ScanObservation]") -> bytes:
             _encode_int_column(times),
             _encode_int_column(responses),
             _encode_int_column(wire_bytes),
-            bytes(engine_ids),
+            _encode_lengths(engine_ids),
         )
     )
 
 
-class _Prefixed(NamedTuple):
-    """A run of u16-length-prefixed values: where it starts, where each ends."""
+class _Lengths(NamedTuple):
+    """A variable-length column: where its values start, and their lengths."""
 
-    start: int
-    ends: "list[int]"
+    start: int  # offset of the first value
+    lengths: "tuple[int, ...]"
 
     def item(self, blob: bytes, index: int) -> bytes:
-        begin = self.ends[index - 1] if index else self.start
-        return blob[begin + 2 : self.ends[index]]
+        begin = self.start + sum(self.lengths[:index])
+        return blob[begin : begin + self.lengths[index]]
 
     def items(self, blob: bytes) -> "Iterator[bytes]":
         begin = self.start
-        for end in self.ends:
-            yield blob[begin + 2 : end]
+        for length in self.lengths:
+            end = begin + length
+            yield blob[begin:end]
             begin = end
 
 
@@ -158,7 +168,7 @@ class _IntColumn(NamedTuple):
 
     code: str  # struct format character; empty for the bigint escape
     start: int  # offset of the first packed value
-    bigints: "_Prefixed | None"  # the values of a bigint-escape column
+    bigints: "_Lengths | None"  # the values of a bigint-escape column
 
     def value(self, blob: bytes, row: int) -> int:
         if self.bigints is not None:
@@ -182,26 +192,21 @@ class _Frame(NamedTuple):
     addresses: int  # offset of the address column
     recv_times: int  # offset of the receive-time column
     ints: "tuple[_IntColumn, ...]"  # boots, engine time, responses, wire bytes
-    engine_ids: _Prefixed  # one value per parsed row
+    engine_ids: _Lengths  # one value per parsed row
 
 
-def _frame_prefixed(
+def _frame_lengths(
     blob: bytes, offset: int, count: int, what: str
-) -> "tuple[_Prefixed, int]":
-    """Walk ``count`` u16-length-prefixed values starting at ``offset``."""
-    ends: "list[int]" = []
-    append = ends.append
-    start, size = offset, len(blob)
-    for __ in range(count):
-        if offset + 2 > size:
-            raise WireFormatError(f"truncated {what} column")
-        # The little-endian length _U16 packs, read inline: this loop
-        # runs once per parsed row of every block a lookup frames.
-        offset += 2 + (blob[offset] | blob[offset + 1] << 8)
-        append(offset)
-    if offset > size:
+) -> "tuple[_Lengths, int]":
+    """Check the ``count``-value variable-length column at ``offset``."""
+    start = offset + 2 * count
+    if start > len(blob):
+        raise WireFormatError(f"truncated {what} length column")
+    lengths = struct.unpack_from(f"<{count}H", blob, offset)
+    end = start + sum(lengths)
+    if end > len(blob):
         raise WireFormatError(f"truncated {what} column")
-    return _Prefixed(start, ends), offset
+    return _Lengths(start, lengths), end
 
 
 def _frame_int_column(blob: bytes, offset: int, count: int) -> "tuple[_IntColumn, int]":
@@ -210,7 +215,7 @@ def _frame_int_column(blob: bytes, offset: int, count: int) -> "tuple[_IntColumn
     code = blob[offset]
     offset += 1
     if code == _BIGINT:
-        bigints, end = _frame_prefixed(blob, offset, count, "bigint")
+        bigints, end = _frame_lengths(blob, offset, count, "bigint")
         return _IntColumn("", offset, bigints), end
     if code not in _INT_WIDTHS:
         raise WireFormatError(f"unknown integer column code {code:#04x}")
@@ -221,7 +226,7 @@ def _frame_int_column(blob: bytes, offset: int, count: int) -> "tuple[_IntColumn
 
 
 def _frame(blob: bytes) -> _Frame:
-    """Walk and check the whole layout of a blob without building rows.
+    """Check the whole layout of a blob without building rows.
 
     Both :func:`decode_observations` and :func:`find_observation` read
     through this, so a blob one of them rejects the other rejects too.
@@ -235,7 +240,7 @@ def _frame(blob: bytes) -> _Frame:
     flags = blob[offset : offset + count]
     if len(flags) != count:
         raise WireFormatError("truncated flags column")
-    if count and max(flags) > _FLAG_V6 | _FLAG_PARSED:
+    if flags.translate(None, _KNOWN_FLAGS):
         raise WireFormatError("unknown row flag")
     offset += count
     addresses = offset
@@ -252,7 +257,7 @@ def _frame(blob: bytes) -> _Frame:
         column, offset = _frame_int_column(blob, offset, count)
         ints.append(column)
     parsed_rows = flags.count(_FLAG_PARSED) + flags.count(_FLAG_V6 | _FLAG_PARSED)
-    engine_ids, offset = _frame_prefixed(blob, offset, parsed_rows, "engine-ID")
+    engine_ids, offset = _frame_lengths(blob, offset, parsed_rows, "engine-ID")
     if offset != len(blob):
         raise WireFormatError("trailing bytes after observation batch")
     return _Frame(count, flags, v6_rows, addresses, recv_times, tuple(ints), engine_ids)

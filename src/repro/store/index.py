@@ -1,16 +1,18 @@
 """Secondary indexes over a store's observations.
 
-One sequential pass over the segment files builds the three inverted
-views every serving workload needs:
+One sequential pass over the segment files builds the inverted views
+the serving workloads need:
 
 * **engine ID → addresses** — which IPs ever answered with an engine ID
   (the §5 alias-resolution join key);
-* **address → observation history** — every sighting of one IP across
-  rounds, oldest first (the longitudinal point-query);
 * **device rollups** — per *device* (distinct engine ID) groupings by
   IANA enterprise number, by MAC-OUI vendor, and by the paper's final
   vendor verdict (:func:`repro.fingerprint.vendor.infer_vendor`), which
   back the Figure 11/12 censuses straight from the store.
+
+Per-address history is not indexed here: the longitudinal point query
+(:meth:`repro.store.store.Store.history`) reads it straight from the
+segments, searching each candidate block's packed address column.
 
 The index is an in-memory structure rebuilt from segments on demand and
 cached by the :class:`~repro.store.store.Store`; it holds no state of
@@ -28,7 +30,7 @@ from repro.net.addresses import IPAddress
 from repro.snmp.engine_id import EngineId
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.store.store import Store, StoredObservation
+    from repro.store.store import Store
 
 #: Rollup bucket for engine IDs too short to carry an enterprise number.
 NO_ENTERPRISE = -1
@@ -39,9 +41,6 @@ class StoreIndex:
     """Materialized inverted views over every stored observation."""
 
     engine_to_ips: "dict[bytes, set[IPAddress]]" = field(default_factory=dict)
-    ip_history: "dict[IPAddress, list[StoredObservation]]" = field(
-        default_factory=dict
-    )
     devices_by_enterprise: "dict[int, set[bytes]]" = field(default_factory=dict)
     devices_by_oui: "dict[str, set[bytes]]" = field(default_factory=dict)
     devices_by_vendor: "dict[str, set[bytes]]" = field(default_factory=dict)
@@ -54,13 +53,11 @@ class StoreIndex:
         engines: dict[bytes, EngineId] = {}
         for stored in store.observations():
             index.rows_indexed += 1
-            address = stored.observation.address
-            index.ip_history.setdefault(address, []).append(stored)
             engine_id = stored.observation.engine_id
             if engine_id is None:
                 continue
             raw = engine_id.raw
-            index.engine_to_ips.setdefault(raw, set()).add(address)
+            index.engine_to_ips.setdefault(raw, set()).add(stored.observation.address)
             engines.setdefault(raw, engine_id)
         for raw, engine_id in engines.items():
             enterprise = (

@@ -48,7 +48,7 @@ from repro.scanner.wire import (
 )
 
 #: Segment format version, bumped on any incompatible layout change.
-SEGMENT_VERSION = 2
+SEGMENT_VERSION = 3
 
 #: Rows per columnar block; the writer re-chunks input to this size so
 #: segment bytes are independent of executor batch boundaries.
@@ -305,9 +305,11 @@ class SegmentReader:
         """Point lookup: scan each candidate block's raw address column.
 
         Blocks are in scan (permuted) order, so the footer's min/max
-        range rarely prunes; instead every candidate block is framed and
-        checked in full, the key is searched for in its packed address
-        column, and only the matching row is decoded.
+        range rarely prunes.  Each candidate block's framing is checked
+        in a constant number of C-level calls (the wire codec keeps its
+        variable-length values behind a length column), the key is
+        searched for in its packed address column, and only the matching
+        row is decoded.
         """
         candidates = [block for block in self.blocks if block.may_contain(address)]
         if not candidates:

@@ -3,6 +3,7 @@
 import ipaddress
 import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,3 +287,99 @@ class TestFailClosed:
         for fn, args in ((decode_observations, ()), (find_observation, (_obs().address,))):
             with pytest.raises(WireFormatError, match="flag"):
                 fn(bytes(blob), *args)
+
+
+# -- variable-length columns (wire format 2) ----------------------------------
+
+#: ``[_obs()]`` as wire format 1 wrote it: each engine ID carried its own
+#: u16 length prefix inline.  Format 2 moved the lengths into a column.
+_V1_BLOB = bytes.fromhex(
+    "010100000002c000020100000000004a9340620168e803620162400b00800000090300000c010203"
+)
+
+_BIGINTS = st.one_of(
+    st.integers(-(1 << 200), -(1 << 63) - 1),
+    st.integers(1 << 63, 1 << 200),
+    st.integers(-300, 300),
+)
+_WIDE_ROWS = st.lists(
+    st.builds(
+        ScanObservation,
+        address=_V4 | _V6 | _POOL,
+        recv_time=st.floats(allow_nan=False, allow_infinity=False),
+        engine_id=st.none() | st.builds(EngineId, st.binary(max_size=64)),
+        engine_boots=_BIGINTS,
+        engine_time=_INTS,
+        response_count=_BIGINTS,
+        wire_bytes=_INTS,
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _engine_id_lengths(batch):
+    """Byte range of the engine-ID length column: the blob's tail is the
+    u16 lengths followed by the engine IDs themselves."""
+    raws = [obs.engine_id.raw for obs in batch if obs.engine_id is not None]
+    blob = encode_observations(batch)
+    start = len(blob) - sum(map(len, raws)) - 2 * len(raws)
+    return start, start + 2 * len(raws)
+
+
+class TestVariableLengthColumns:
+    def test_format_1_blob_is_rejected(self):
+        assert WIRE_VERSION == 2
+        for fn, args in ((decode_observations, ()), (find_observation, (_obs().address,))):
+            with pytest.raises(WireFormatError, match="version 1"):
+                fn(_V1_BLOB, *args)
+
+    def test_engine_ids_follow_their_length_column(self):
+        raws = [b"\x80\x00\x00\x09\x03abc", b"", b"\x01" * 64]
+        batch = [_obs(engine_id=raw) for raw in raws] + [_obs(engine_id=None)]
+        blob = encode_observations(batch)
+        tail = struct.pack("<3H", 8, 0, 64) + b"".join(raws)
+        assert blob.endswith(tail)
+        assert decode_observations(blob) == batch
+
+    def test_bigint_values_follow_their_length_column(self):
+        batch = [_obs(engine_boots=1 << 70), _obs(engine_boots=-1)]
+        blob = encode_observations(batch)
+        column = bytes([0xFF]) + struct.pack("<2H", 9, 1) + (1 << 70).to_bytes(9, "big") + b"\xff"
+        assert column in blob
+        assert decode_observations(blob) == batch
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_ROWS)
+    def test_round_trip_with_bigints_and_long_engine_ids(self, batch):
+        blob = encode_observations(batch)
+        rows = decode_observations(blob)
+        assert rows == batch
+        for key in {obs.address for obs in batch} | {ipaddress.ip_address("203.0.113.9")}:
+            assert find_observation(blob, key) == _first(rows, key)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_ROWS.filter(lambda b: any(o.engine_id is not None for o in b)), st.data())
+    def test_engine_id_length_flip_is_rejected(self, batch, data):
+        """Any one-bit change to a length moves the column's end, so the
+        blob no longer ends where its last engine ID does."""
+        start, end = _engine_id_lengths(batch)
+        bit = data.draw(st.integers(start * 8, end * 8 - 1))
+        blob = bytearray(encode_observations(batch))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        for fn, args in ((decode_observations, ()), (find_observation, (batch[0].address,))):
+            with pytest.raises(WireFormatError):
+                fn(bytes(blob), *args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_ROWS, st.data())
+    def test_bigint_length_flip_fails_closed(self, batch, data):
+        batch = [_obs(engine_boots=1 << 70)] + batch
+        blob = bytearray(encode_observations(batch))
+        # Boots, the first integer column, is a bigint escape: a length
+        # flip there shifts every column after it.
+        offset = 5 + len(batch) + sum(len(o.address.packed) for o in batch) + 8 * len(batch)
+        assert blob[offset] == 0xFF
+        bit = data.draw(st.integers((offset + 1) * 8, (offset + 1 + 2 * len(batch)) * 8 - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+        TestFailClosed._check(batch, bytes(blob))

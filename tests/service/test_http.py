@@ -81,6 +81,29 @@ class TestRouting:
         assert "stats" in body["endpoints"]
 
 
+class TestBadAddress:
+    @pytest.mark.parametrize("arg", ["bogus", "%ff"])
+    def test_history_of_a_bad_address_is_400_and_keeps_the_connection(
+        self, server, arg
+    ):
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("GET", f"/v1/history?arg={arg}")
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "invalid address" in json.loads(response.read())["error"]
+            connection.request("GET", "/v1/history?arg=10.1.0.1")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["endpoint"] == "history"
+        finally:
+            connection.close()
+        status, body = fetch(server.address, "/metrics")
+        assert status == 200
+        assert body["endpoints"]["history"]["errors"] >= 1
+
+
 class TestRateLimiting:
     def test_shed_requests_are_429(self, tmp_path):
         service = QueryService(

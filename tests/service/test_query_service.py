@@ -61,6 +61,14 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="requires an address"):
             service.request("history")
 
+    def test_history_rejects_a_bad_address(self, tmp_path):
+        service = QueryService(store=populate(tmp_path / "obs"))
+        bad = ["bogus", "\ufffd", "10.1.0", "10.1.0.1/24"]
+        for arg in bad:
+            with pytest.raises(ServiceError, match="invalid address"):
+                service.request("history", arg)
+        assert service.metrics_summary()["endpoints"]["history"]["errors"] == len(bad)
+
     def test_history_is_json_safe(self, service):
         value = service.request("history", "10.1.0.1").value
         assert [row["label"] for row in value] == ["v4-1", "v4-2"]

@@ -10,6 +10,7 @@ from repro.scanner.records import ScanObservation
 from repro.scanner.wire import WireFormatError, encode_observations
 from repro.snmp.engine_id import EngineId
 from repro.store.segment import (
+    SEGMENT_VERSION,
     SegmentError,
     SegmentMeta,
     SegmentReader,
@@ -26,6 +27,17 @@ FOOTER_ENTRY = struct.Struct("<QII16s16s")
 
 META = SegmentMeta(
     round_id=3, label="v4-1", ip_version=4, started_at=1234.5, part=0
+)
+
+
+FORMAT_2_SEGMENT = bytes.fromhex(
+    "5253454702460000007b2269705f76657273696f6e223a342c226c6162656c223a2276"
+    "342d31222c2270617274223a302c22726f756e64223a332c22737461727465645f6174"
+    "223a313233342e357d5600000001030000000002020a0100010a0100020a0100030000"
+    "000000408f400000000000488f400000000000508f40620001026200070e6201010162"
+    "4040400b0080000009030000000000010b008000000903000000000002010000006ac5"
+    "f043530000000000000056000000030000000000000000000000000000000a01000100"
+    "00000000000000000000000a0100033800000047455352"
 )
 
 
@@ -121,6 +133,15 @@ class TestCorruption:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(SegmentError):
+            SegmentReader(path)
+
+    def test_format_2_file_is_rejected(self, tmp_path):
+        """A segment written before the wire codec moved its lengths into
+        a column (``sample_rows(3)`` under ``META``, format 2)."""
+        path = tmp_path / "v2.seg"
+        path.write_bytes(FORMAT_2_SEGMENT)
+        assert SEGMENT_VERSION == 3
+        with pytest.raises(SegmentError, match="segment version 2"):
             SegmentReader(path)
 
     def test_truncated_file(self, tmp_path):
